@@ -151,8 +151,7 @@ def simulation_key(
         "warmup": warmup,
         "config": _canonical(dataclasses.asdict(config)),
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _digest(payload)
 
 
 def thermal_key(solver, die_power_grids) -> str:
@@ -191,21 +190,69 @@ def interval_trace_key(
     """Content hash identifying one interval power trace.
 
     Covers the simulation it was extracted from (``sim_key`` already
-    folds in trace, config, simulator and generator versions), the
-    interval granularity, the calibrated power scale, the core
-    replication factor, and the rasterization geometry (the solver's
-    :meth:`~repro.thermal.solver.ThermalSolver.result_key`, since the
-    trace stores chip-resolution per-die grids).
+    folds in trace, config, simulator and generator versions), the power
+    model's version, the interval granularity, the calibrated power
+    scale, the core replication factor, and the rasterization geometry
+    (the solver's :meth:`~repro.thermal.solver.ThermalSolver.result_key`,
+    since the trace stores chip-resolution per-die grids).
     """
+    from repro.power.model import POWER_MODEL_VERSION
+
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "kind": "interval_trace",
+        "power_model": POWER_MODEL_VERSION,
         "sim": sim_key,
         "interval_insts": interval_insts,
         "activity_scale": activity_scale,
         "core_count": core_count,
         "geometry": _canonical(solver.result_key()),
     }
+    return _digest(payload)
+
+
+def transient_key(schedule_key: dict, solver, dt_s: float,
+                  duration_s: float, initial_k) -> str:
+    """Content hash identifying one deterministic transient run.
+
+    ``schedule_key`` is the schedule's own description
+    (:meth:`~repro.thermal.transient.PowerSchedule.cache_key`: its class,
+    parameters, and the content key of the power input it replays, e.g.
+    an :func:`interval_trace_key`); the rest is the integration setup —
+    the step matrix (:func:`~repro.thermal.transient.step_matrix_key`),
+    the solver's full result geometry, the window and the start
+    temperature.
+    """
+    from repro.thermal.transient import step_matrix_key
+
+    return _digest({
+        "schema": CACHE_SCHEMA_VERSION,
+        "kind": "transient",
+        "schedule": _canonical(schedule_key),
+        "step_matrix": _canonical(step_matrix_key(solver, dt_s)),
+        "geometry": _canonical(solver.result_key()),
+        "duration_s": float(duration_s),
+        "initial_k": None if initial_k is None else float(initial_k),
+    })
+
+
+def leakage_key(dynamic_key: str, leak_key: str, reference_k: float,
+                efold_k: float) -> str:
+    """Content hash identifying one leakage-feedback fixed point: the
+    :func:`thermal_key` of its dynamic and of its reference leakage grids
+    (each already covering the geometry), plus the leakage model's
+    reference and e-folding temperatures."""
+    return _digest({
+        "schema": CACHE_SCHEMA_VERSION,
+        "kind": "leakage",
+        "dynamic": dynamic_key,
+        "leakage": leak_key,
+        "reference_k": float(reference_k),
+        "efold_k": float(efold_k),
+    })
+
+
+def _digest(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -1179,8 +1226,7 @@ def trace_store_key(workload_fingerprint: str) -> str:
         "trace_schema": TRACE_SCHEMA_VERSION,
         "workload": workload_fingerprint,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _digest(payload)
 
 
 class TraceStore:

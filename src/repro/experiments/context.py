@@ -5,17 +5,21 @@ The paper's evaluation reuses the same simulation runs across figures
 Figure 8); the context memoizes everything so the benchmark harness does
 each piece of work once per process.
 
-Two additional layers make repeated and large evaluations cheap:
+Every expensive result — simulations, steady thermal solves, transient
+runs, leakage-feedback fixed points — goes through one job engine
+(:meth:`ExperimentContext._resolve`) that makes repeated and large
+evaluations cheap:
 
 * a **persistent on-disk cache** (:mod:`repro.experiments.cache`) keyed
-  by a content hash of the benchmark, fidelity knobs, configuration, and
-  generator/simulator versions, so repeated CLI/benchmark/report runs
-  hit disk instead of re-simulating;
-* a **parallel dispatcher**: :meth:`ExperimentContext.prefetch` fans
-  pending simulations out across a :class:`ProcessPoolExecutor`
-  (``jobs`` argument, ``REPRO_JOBS`` environment variable, default
-  ``os.cpu_count()``).  Simulations are deterministic, so the parallel
-  path produces results identical to the serial one.
+  by a content hash of everything a result depends on, so repeated
+  CLI/benchmark/report runs hit disk instead of recomputing, and
+  concurrent processes share work through claim files;
+* a **parallel dispatcher** that fans pending work, grouped by what it
+  shares (a trace, a factorization), out across a
+  :class:`ProcessPoolExecutor` (``jobs`` argument, ``REPRO_JOBS``
+  environment variable, default ``os.cpu_count()``).  Every job is
+  deterministic, so the parallel path produces results identical to the
+  serial one.
 """
 
 from __future__ import annotations
@@ -29,14 +33,17 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cpu.config import CPUConfig, paper_configurations
-from repro.cpu.pipeline import columnar_enabled, simulate
+from repro.cpu.pipeline import columnar_enabled
 from repro.cpu.results import SimulationResult
+from repro.experiments import faults, supervised
 from repro.experiments.cache import (
     DEFAULT_CLAIM_STALE_S,
     ResultCache,
+    leakage_key,
     simulation_key,
     thermal_key,
     trace_store_key,
+    transient_key,
 )
 from repro.floorplan import Floorplan, planar_floorplan, stacked_floorplan
 from repro.isa.compiled import CompiledTrace
@@ -47,6 +54,7 @@ from repro.power.model import (
     StackKind,
     calibrate_activity_scale,
 )
+from repro.thermal.feedback import DEFAULT_EFOLD_K
 from repro.thermal.power_map import build_power_map, rasterize
 from repro.thermal.solver import FACTORIZATION_STATS, ThermalResult, ThermalSolver
 from repro.thermal.stack import planar_stack, stacked_3d_stack
@@ -54,7 +62,6 @@ from repro.thermal.transient import (
     STEP_FACTORIZATION_STATS,
     PowerSchedule,
     TransientResult,
-    TransientThermalSolver,
     step_matrix_key,
 )
 from repro.workloads.suite import benchmark_names, fingerprint, generate
@@ -102,12 +109,12 @@ CLAIM_WAIT_S = 120.0
 #: Poll interval while waiting on another process's claim.
 CLAIM_POLL_S = 0.05
 
-#: Distinct geometries a thermal dispatch needs before it fans out to
-#: worker processes.  Below this the parent solves inline: a worker
-#: cannot return its SuperLU handle, so small dispatches would pay a
-#: pool spin-up *and* forfeit the parent's factorization LRU that later
-#: single-geometry solves (DVFS points, transient steps, leakage
-#: feedback) reuse for free.
+#: Distinct groups (factorizations, step matrices) a steady, transient
+#: or leakage dispatch needs before it fans out to worker processes.
+#: Below this the parent runs them inline: a worker cannot return its
+#: SuperLU handle, so small dispatches would pay a pool spin-up *and*
+#: forfeit the parent's factorization LRU that later single-geometry
+#: solves (DVFS points, transient steps, leakage feedback) reuse for free.
 THERMAL_PARALLEL_MIN_GROUPS = 3
 
 #: Configuration labels -> whether they are evaluated as a 3D stack.
@@ -355,76 +362,218 @@ def _resolve_thermal_subproc_cells() -> Optional[int]:
     ``None`` (supervision disabled) only on an explicit opt-out value;
     unset and invalid values fall back to the RAM-calibrated default.
     """
-    from repro.experiments.supervised import (
-        DISABLED_VALUES,
-        default_subproc_cells,
-    )
-
     raw = os.environ.get(ENV_THERMAL_SUBPROC, "").strip().lower()
-    if raw in DISABLED_VALUES:
+    if raw in supervised.DISABLED_VALUES:
         return None
     if raw:
         explicit = _env_positive_number(ENV_THERMAL_SUBPROC, convert=int)
         if explicit is not None:
             return int(explicit)
-    return default_subproc_cells()
-
-
-def _simulate_task(
-    benchmark: str,
-    config: CPUConfig,
-    trace_length: int,
-    warmup: int,
-    trace_file: Optional[str] = None,
-) -> SimulationResult:
-    """Worker entry point: map in the compiled trace (or regenerate) and run.
-
-    ``trace_file`` points at the parent's stored compiled trace; the
-    worker memory-maps it instead of re-running the emulator, so each
-    task ships a file path rather than a pickled instruction list.  A
-    damaged or vanished file degrades to regeneration — the emulator is
-    deterministic, so every path yields the same trace.
-
-    The fault point is a no-op unless a fault-injection token directory
-    is armed (see :mod:`repro.experiments.faults`); the serial path calls
-    :func:`repro.cpu.pipeline.simulate` directly and is never injected.
-    """
-    from repro.experiments.faults import maybe_inject_worker_fault
-
-    maybe_inject_worker_fault()
-    if trace_file is not None:
-        from repro.isa.compiled import read_compiled, TraceReadError
-
-        try:
-            compiled = read_compiled(trace_file)
-        except TraceReadError:
-            pass
-        else:
-            if len(compiled) == trace_length and compiled.name == benchmark:
-                return simulate(compiled, config, warmup=warmup)
-    trace = generate(benchmark, length=trace_length)
-    return simulate(trace, config, warmup=warmup)
+    return supervised.default_subproc_cells()
 
 
 @dataclass
 class _PoolTask:
     """One unit of work for the fault-tolerant pool executor.
 
-    ``fn(*args)`` runs in a worker process; ``serial()`` is the
-    in-process fallback producing an identical result (every task is
-    deterministic).  ``detail`` labels the task in robustness events,
-    ``timeout_s`` is its per-attempt deadline, ``max_attempts`` its
-    worker-pool attempt budget, and ``on_fallback`` (if set) is invoked
-    with a reason string whenever the task abandons the pool path.
+    ``supervised.run_group(*args)`` runs in a worker process;
+    ``serial()`` is the in-process fallback producing an identical
+    result (every task is deterministic).  ``detail`` labels the task in
+    robustness events; ``timeout_s`` and ``max_attempts`` are its
+    per-attempt deadline and worker-pool attempt budget.
     """
 
-    fn: Callable
     args: tuple
     serial: Callable[[], object]
     detail: Dict[str, object]
     timeout_s: Optional[float] = None
     max_attempts: int = 1
-    on_fallback: Optional[Callable[[str], None]] = None
+
+
+@dataclass
+class _Job:
+    """One distinct unit of engine work and the request positions it serves."""
+
+    spec: object
+    key: Optional[str]
+    targets: List[int]
+    claimed: bool = False
+
+
+def _cells(solver: ThermalSolver) -> int:
+    """Unknown count of one geometry's linear system."""
+    return len(solver.stack.layers) * solver.ny * solver.nx
+
+
+@dataclass(frozen=True)
+class _JobKind:
+    """One kind of work the engine resolves (:meth:`ExperimentContext._resolve`).
+
+    Four parts define a kind: ``key(ctx, spec)`` is one job's content
+    key (``None``: computed but never stored); ``group(ctx, spec)`` keys
+    the jobs that share one worker call (a trace, a factorization, a
+    step matrix); ``task(ctx, specs, inline)`` is a worker function of
+    :mod:`repro.experiments.supervised` plus its pure inputs for one
+    group (it returns one result per job; ``inline`` lets a trace stay
+    in memory); and ``result_type`` is what ``cache.load`` must find
+    under a key.  The rest is bookkeeping and the pool rule's inputs.
+    """
+
+    #: ``ContextStats.stage_seconds`` bucket its work is timed under, and
+    #: the kind's label in warnings and ``<stage>_group`` events
+    stage: str
+    result_type: type
+    key: Callable
+    group: Callable
+    task: Callable
+    #: ``(ctx, specs) -> dict``: a group's detail in events
+    describe: Callable
+    #: ``(ctx, jobs, worker_stats, oversized)``: counts one computed
+    #: group (``worker_stats`` is None when it ran in this process)
+    account: Callable = lambda ctx, jobs, worker_stats, oversized: None
+    #: ``ContextStats`` counter of disk hits
+    hits: Optional[str] = None
+    #: fault point pool workers run at task entry
+    fault_point: Callable = faults.maybe_inject_thermal_fault
+    #: context attribute holding the per-task deadline
+    timeout: str = "thermal_timeout_s"
+    #: groups a dispatch needs to pool (None: the context's
+    #: ``thermal_parallel_min_groups``)
+    min_groups: Optional[int] = None
+    #: ``(specs) -> bool``: whether a group's inputs pickle
+    poolable: Callable = lambda specs: True
+    #: ``(ctx, specs) -> bool``: whether a group must run crash-isolated
+    oversized: Callable = lambda ctx, specs: False
+
+
+def _count_simulations(ctx, jobs, worker_stats, oversized) -> None:
+    ctx.stats.simulated += len(jobs)
+    ctx.stats.instructions_simulated += len(jobs) * ctx.settings.trace_length
+
+
+def _count_steady(ctx, jobs, worker_stats, oversized) -> None:
+    stats = ctx.stats
+    stats.thermal_groups += 1
+    stats.thermal_solved += sum(len(job.targets) for job in jobs)
+    if worker_stats is not None:
+        stats.thermal_worker_groups += 1
+        stats.thermal_worker_factorizations += worker_stats["factorizations"]
+        stats.thermal_subproc_solves += oversized
+
+
+def _steps(req: "TransientRequest") -> int:
+    return max(1, int(round(req.duration_s / req.dt_s)))
+
+
+def _count_transient(ctx, jobs, worker_stats, oversized) -> None:
+    stats = ctx.stats
+    stats.transient_groups += 1
+    stats.transient_steps += _steps(jobs[0].spec) * len(jobs)
+    if worker_stats is not None:
+        stats.transient_worker_groups += 1
+        stats.transient_worker_factorizations += (
+            worker_stats["step_factorizations"]
+        )
+
+
+def _transient_key(ctx, req: "TransientRequest") -> Optional[str]:
+    schedule = req.schedule
+    schedule_key = (schedule.cache_key()
+                    if isinstance(schedule, PowerSchedule) else None)
+    if schedule_key is None:
+        return None
+    return transient_key(schedule_key, ctx.solver(req.stack), req.dt_s,
+                         req.duration_s, req.initial_k)
+
+
+def _leakage_key(ctx, spec) -> str:
+    solver, dynamic, leakage, reference_k = spec
+    return leakage_key(thermal_key(solver, dynamic),
+                       thermal_key(solver, leakage), reference_k,
+                       DEFAULT_EFOLD_K)
+
+
+#: (benchmark, config) -> SimulationResult, one worker call per trace.
+_SIMULATIONS = _JobKind(
+    stage="simulate", result_type=SimulationResult,
+    key=lambda ctx, spec: ctx._cache_key(*spec),
+    group=lambda ctx, spec: spec[0],
+    task=lambda ctx, specs, inline: (supervised.simulate_runs, (
+        specs[0][0], ctx.settings.trace_length, ctx.settings.warmup,
+        ctx._trace_input(specs[0][0], inline),
+        [config for _, config in specs],
+    )),
+    describe=lambda ctx, specs: {
+        "benchmark": specs[0][0],
+        "configs": [config.name for _, config in specs],
+    },
+    account=_count_simulations,
+    hits="disk_hits",
+    fault_point=faults.maybe_inject_worker_fault,
+    timeout="task_timeout_s",
+    # No parent-side factorization to forfeit: a second trace already
+    # pays for the pool.
+    min_groups=2,
+)
+
+#: (solver, per-die grids) -> ThermalResult, one worker call per
+#: factorization (:meth:`ThermalSolver.matrix_key`).
+_STEADY = _JobKind(
+    stage="thermal", result_type=ThermalResult,
+    key=lambda ctx, spec: thermal_key(*spec),
+    group=lambda ctx, spec: spec[0].matrix_key(),
+    task=lambda ctx, specs, inline: (supervised.solve_steady, (
+        supervised.geometry_of(specs[0][0]), [grids for _, grids in specs],
+    )),
+    describe=lambda ctx, specs: {
+        "geometry": specs[0][0].geometry_id(),
+        "batches": len(specs),
+        "cells": _cells(specs[0][0]),
+    },
+    account=_count_steady,
+    hits="thermal_disk_hits",
+    oversized=lambda ctx, specs: (
+        ctx.thermal_subproc_cells is not None
+        and _cells(specs[0][0]) >= ctx.thermal_subproc_cells
+    ),
+)
+
+#: TransientRequest -> (TransientResult, schedule stats), one worker call
+#: per step matrix and integration window.
+_TRANSIENT = _JobKind(
+    stage="transient", result_type=tuple,
+    key=_transient_key,
+    group=lambda ctx, req: (step_matrix_key(ctx.solver(req.stack), req.dt_s),
+                            req.duration_s, req.initial_k),
+    task=lambda ctx, reqs, inline: (supervised.step_transient, (
+        supervised.geometry_of(ctx.solver(reqs[0].stack)), reqs[0].dt_s,
+        reqs[0].duration_s, reqs[0].initial_k, [r.schedule for r in reqs],
+    )),
+    describe=lambda ctx, reqs: {
+        "geometry": ctx.solver(reqs[0].stack).geometry_id(),
+        "runs": len(reqs),
+        "steps": _steps(reqs[0]),
+    },
+    account=_count_transient,
+    # Plain ``power_fn(t)`` callables (lambdas) do not pickle.
+    poolable=lambda reqs: all(isinstance(r.schedule, PowerSchedule)
+                              for r in reqs),
+)
+
+#: (solver, dynamic grids, leakage grids, reference K) -> (fixed peak K,
+#: coupled peak K, leakage amplification), one worker call per
+#: factorization.
+_LEAKAGE = _JobKind(
+    stage="leakage", result_type=tuple,
+    key=_leakage_key,
+    group=lambda ctx, spec: spec[0].matrix_key(),
+    task=lambda ctx, specs, inline: (supervised.converge_leakage, (
+        supervised.geometry_of(specs[0][0]), [spec[1:] for spec in specs],
+    )),
+    describe=lambda ctx, specs: {
+        "geometry": specs[0][0].geometry_id(), "runs": len(specs),
+    },
+)
 
 
 class ExperimentContext:
@@ -542,24 +691,22 @@ class ExperimentContext:
         self._compiled[benchmark] = compiled
         return compiled
 
-    def _trace_for_simulation(self, benchmark: str):
-        """What in-process :func:`simulate` calls should replay: the
-        compiled trace when the columnar path is on (shared pre-decode
-        across configs), the object trace otherwise."""
+    def _trace_input(self, benchmark: str, inline: bool):
+        """What a simulation group replays.
+
+        Inline, the compiled trace when the columnar path is on (shared
+        pre-decode across configs), the object trace otherwise.  For a
+        pool worker, the on-disk compiled trace it should map, or
+        ``None`` (store disabled/unusable, trace uncompilable, columnar
+        path off) — the worker then regenerates the trace itself.
+        """
         if columnar_enabled():
             compiled = self._compiled_for(benchmark)
+            if not inline:
+                return self._trace_files.get(benchmark)
             if compiled is not None:
                 return compiled
-        return self.trace(benchmark)
-
-    def _trace_file(self, benchmark: str) -> Optional[str]:
-        """The on-disk compiled trace workers should map, or ``None``
-        (store disabled/unusable, or trace uncompilable) — in which case
-        workers regenerate the trace themselves."""
-        if not columnar_enabled():
-            return None
-        self._compiled_for(benchmark)
-        return self._trace_files.get(benchmark)
+        return self.trace(benchmark) if inline else None
 
     def _config_for(self, config_label: str) -> CPUConfig:
         config = self.configs.get(config_label)
@@ -575,82 +722,10 @@ class ExperimentContext:
             benchmark, config, self.settings.trace_length, self.settings.warmup
         )
 
-    def _load_or_simulate(self, benchmark: str, config: CPUConfig) -> SimulationResult:
-        """One simulation, served from disk (or a peer process) when possible."""
-        key = self._cache_key(benchmark, config)
-        if self.cache is None:
-            result = self._run_serial(benchmark, config)
-            self.stats.simulated += 1
-            self.stats.instructions_simulated += self.settings.trace_length
-            return result
-        cached = self.cache.load(key)
-        if cached is not None:
-            self.stats.disk_hits += 1
-            return cached
-        if not self.cache.try_claim(key):
-            peer_result = self._claim_coordinate(key)
-            if peer_result is not None:
-                return peer_result
-        try:
-            result = self._run_serial(benchmark, config)
-            self.stats.simulated += 1
-            self.stats.instructions_simulated += self.settings.trace_length
-            self.cache.store(key, result)
-        finally:
-            self.cache.release_claim(key)
-        return result
-
-    def _claim_coordinate(self, key: str):
-        """Wait (bounded) for the peer process holding ``key``'s claim.
-
-        Returns the peer's result when it lands on disk (one simulation
-        for N cold-starting processes), or None when this process should
-        simulate after all — the claim went stale (dead holder) and was
-        taken over, or the bounded wait expired.
-        """
-        cache = self.cache
-        self.stats.claim_waits += 1
-        self.stats.record_event("claim_wait", key=key[:16])
-        deadline = time.monotonic() + self.claim_wait_s
-        while True:
-            result = cache.load(key)
-            if result is not None:
-                self.stats.claim_dedup += 1
-                self.stats.record_event("claim_dedup", key=key[:16])
-                return result
-            if cache.claim_stale(key, self.claim_stale_s):
-                cache.break_claim(key)
-                self.stats.claim_takeovers += 1
-                self.stats.record_event(
-                    "claim_takeover", key=key[:16], reason="stale"
-                )
-                cache.try_claim(key)
-                return None
-            if cache.claim_holder(key) is None:
-                # Holder released without storing (full disk, crash between
-                # release and store): claim for ourselves and simulate.
-                self.stats.claim_takeovers += 1
-                self.stats.record_event(
-                    "claim_takeover", key=key[:16], reason="released"
-                )
-                cache.try_claim(key)
-                return None
-            if time.monotonic() >= deadline:
-                self.stats.claim_takeovers += 1
-                self.stats.record_event(
-                    "claim_takeover", key=key[:16], reason="wait_expired"
-                )
-                return None
-            time.sleep(self.claim_poll_s)
-
     def run(self, benchmark: str, config_label: str) -> SimulationResult:
         """The (cached) simulation of one benchmark under one configuration."""
-        key = (benchmark, config_label)
-        result = self._runs.get(key)
-        if result is None:
-            result = self._load_or_simulate(benchmark, self._config_for(config_label))
-            self._runs[key] = result
-        return result
+        self.prefetch([(benchmark, config_label)])
+        return self._runs[(benchmark, config_label)]
 
     def run_config(self, benchmark: str, config: CPUConfig) -> SimulationResult:
         """Like :meth:`run` for an ad-hoc configuration object.
@@ -660,11 +735,9 @@ class ExperimentContext:
         are memoized by content hash and persisted like labelled runs.
         """
         key = (benchmark, self._cache_key(benchmark, config))
-        result = self._config_runs.get(key)
-        if result is None:
-            result = self._load_or_simulate(benchmark, config)
-            self._config_runs[key] = result
-        return result
+        if key not in self._config_runs:
+            self._simulate_into(self._config_runs, [(key, benchmark, config)])
+        return self._config_runs[key]
 
     # ------------------------------------------------------------------ #
     # Parallel prefetching
@@ -681,23 +754,17 @@ class ExperimentContext:
 
     def prefetch(self, pairs: Iterable[Tuple[str, str]]) -> None:
         """Materialize many labelled runs, simulating misses in parallel."""
-        items = []
-        for benchmark, label in pairs:
-            key = (benchmark, label)
-            if key in self._runs:
-                continue
-            items.append((self._runs, key, benchmark, self._config_for(label)))
-        self._prefetch_items(items)
+        self._simulate_into(self._runs, [
+            ((benchmark, label), benchmark, self._config_for(label))
+            for benchmark, label in pairs
+        ])
 
     def prefetch_configs(self, items: Iterable[Tuple[str, CPUConfig]]) -> None:
         """Materialize many ad-hoc-configuration runs (see :meth:`run_config`)."""
-        normalized = []
-        for benchmark, config in items:
-            key = (benchmark, self._cache_key(benchmark, config))
-            if key in self._config_runs:
-                continue
-            normalized.append((self._config_runs, key, benchmark, config))
-        self._prefetch_items(normalized)
+        self._simulate_into(self._config_runs, [
+            ((benchmark, self._cache_key(benchmark, config)), benchmark, config)
+            for benchmark, config in items
+        ])
 
     def run_many(
         self, pairs: Sequence[Tuple[str, str]]
@@ -707,167 +774,220 @@ class ExperimentContext:
         self.prefetch(pairs)
         return {pair: self.run(*pair) for pair in pairs}
 
-    def _prefetch_items(self, items) -> None:
-        """Resolve (memo, memo key, benchmark, config) work items.
+    def _simulate_into(self, memo: dict, items) -> None:
+        """Resolve the (memo key, benchmark, config) items missing from
+        ``memo`` through the engine and memoize their results."""
+        pending: Dict[Tuple[str, str], Tuple[str, CPUConfig]] = {}
+        for memo_key, benchmark, config in items:
+            if memo_key not in memo:
+                pending.setdefault(memo_key, (benchmark, config))
+        if pending:
+            memo.update(zip(pending, self._resolve(_SIMULATIONS,
+                                                   list(pending.values()))))
 
-        Each item is served from the memo, then the on-disk cache; the
-        remainder is simulated — across worker processes when more than
-        one simulation is pending and ``jobs`` allows it.  Misses whose
-        cache key another process has claimed are not simulated here:
-        after our own batch completes, we poll all waiting claims
-        *collectively* and steal the work behind any claim that resolves
-        to abandoned (stale holder, released without storing) the moment
-        it does, instead of serially sitting out each key's full wait.
+    # ------------------------------------------------------------------ #
+    # The job engine
+
+    def _resolve(self, kind: _JobKind, specs: Sequence) -> List:
+        """The job engine: one result per spec of ``kind``, in order.
+
+        Specs are deduplicated by content key within the call, served
+        from the on-disk cache when possible, and coordinated with peer
+        processes through the claim protocol (two processes never
+        compute the same key concurrently).  Claimed misses run first
+        (:meth:`_run_jobs`); keys a peer holds are then awaited
+        collectively (:meth:`_await_jobs`).  Jobs are deterministic, so
+        every path — cache, peer, inline, pool, serial fallback — yields
+        byte-identical results.
         """
-        pending = []
-        waiting = []
-        seen = set()
-        for memo, memo_key, benchmark, config in items:
-            if memo_key in memo or (id(memo), memo_key) in seen:
+        out: List = [None] * len(specs)
+        jobs: Dict[str, _Job] = {}
+        work: List[_Job] = []
+        waiting: List[_Job] = []
+        cache = self.cache
+        for index, spec in enumerate(specs):
+            key = kind.key(self, spec)
+            job = jobs.get(key)
+            if job is not None:  # duplicate within this call
+                job.targets.append(index)
                 continue
-            seen.add((id(memo), memo_key))
-            cache_key = self._cache_key(benchmark, config)
-            if self.cache is not None:
-                cached = self.cache.load(cache_key)
+            if key is not None and cache is not None:
+                cached = cache.load(key, kind.result_type)
                 if cached is not None:
-                    self.stats.disk_hits += 1
-                    memo[memo_key] = cached
+                    if kind.hits is not None:
+                        setattr(self.stats, kind.hits,
+                                getattr(self.stats, kind.hits) + 1)
+                    out[index] = cached
                     continue
-                if not self.cache.try_claim(cache_key):
-                    waiting.append((memo, memo_key, benchmark, config, cache_key))
-                    continue
-            pending.append((memo, memo_key, benchmark, config, cache_key))
-        self._simulate_items(pending)
-        if waiting:
-            self._await_claims(waiting)
+            job = _Job(spec, key, [index])
+            if key is not None:
+                jobs[key] = job
+                if cache is not None:
+                    job.claimed = cache.try_claim(key)
+                    if not job.claimed:
+                        self.stats.claim_waits += 1
+                        self.stats.record_event("claim_wait", key=key[:16])
+                        waiting.append(job)
+                        continue
+            work.append(job)
+        if work or waiting:
+            start = time.perf_counter()
+            try:
+                self._run_jobs(kind, work, out)
+                self._await_jobs(kind, waiting, out)
+            finally:
+                self.stats.add_stage(kind.stage, time.perf_counter() - start)
+        return out
 
-    def _await_claims(self, waiting) -> None:
-        """Collectively wait on peer-claimed work items, stealing as we go.
+    def _await_jobs(self, kind: _JobKind, waiting: List[_Job], out) -> None:
+        """Collectively wait on peer-claimed jobs, stealing as we go.
 
         One bounded deadline covers the whole set (the peers run
         concurrently with each other, so their waits overlap).  Each poll
         sweeps every outstanding key: results that landed are adopted
         (``claim_dedup``), and abandoned claims — stale holder, or
-        released without a stored result — are taken over and simulated
+        released without a stored result — are taken over and computed
         *immediately* (``claim_steals``), so this process does useful
         work while the remaining keys are still being waited on.  Keys
-        still claimed when the deadline expires are simulated
-        uncoordinated, exactly like :meth:`_claim_coordinate`'s
-        ``wait_expired`` outcome (no claim of our own is taken).
+        still claimed when the deadline expires are computed
+        uncoordinated (no claim of our own is taken).
         """
         cache = self.cache
-        for *_, cache_key in waiting:
-            self.stats.claim_waits += 1
-            self.stats.record_event("claim_wait", key=cache_key[:16])
         deadline = time.monotonic() + self.claim_wait_s
-        remaining = list(waiting)
-        while remaining:
-            still = []
-            stolen = []
-            for item in remaining:
-                memo, memo_key, _, _, cache_key = item
-                result = cache.load(cache_key)
+        while waiting:
+            still: List[_Job] = []
+            stolen: List[_Job] = []
+            for job in waiting:
+                result = cache.load(job.key, kind.result_type)
                 if result is not None:
                     self.stats.claim_dedup += 1
-                    self.stats.record_event("claim_dedup", key=cache_key[:16])
-                    memo[memo_key] = result
+                    self.stats.record_event("claim_dedup", key=job.key[:16])
+                    for index in job.targets:
+                        out[index] = result
                     continue
-                if cache.claim_stale(cache_key, self.claim_stale_s):
-                    cache.break_claim(cache_key)
-                    self.stats.claim_takeovers += 1
-                    self.stats.record_event(
-                        "claim_takeover", key=cache_key[:16], reason="stale"
-                    )
-                    cache.try_claim(cache_key)
-                    stolen.append(item)
-                    continue
-                if cache.claim_holder(cache_key) is None:
+                if cache.claim_stale(job.key, self.claim_stale_s):
+                    cache.break_claim(job.key)
+                    reason = "stale"
+                elif cache.claim_holder(job.key) is None:
                     # Holder released without storing (full disk, crash
-                    # between release and store): claim and simulate.
-                    self.stats.claim_takeovers += 1
-                    self.stats.record_event(
-                        "claim_takeover", key=cache_key[:16], reason="released"
-                    )
-                    cache.try_claim(cache_key)
-                    stolen.append(item)
+                    # between release and store).
+                    reason = "released"
+                else:
+                    still.append(job)
                     continue
-                still.append(item)
+                self.stats.claim_takeovers += 1
+                self.stats.record_event("claim_takeover", key=job.key[:16],
+                                        reason=reason)
+                job.claimed = cache.try_claim(job.key)
+                stolen.append(job)
             if stolen:
                 self.stats.claim_steals += len(stolen)
                 self.stats.record_event("claim_steal", tasks=len(stolen))
-                self._simulate_items(stolen)
-            remaining = still
-            if not remaining:
-                return
-            if time.monotonic() >= deadline:
+                self._run_jobs(kind, stolen, out)
+            waiting = still
+            if not waiting or time.monotonic() >= deadline:
                 break
             time.sleep(self.claim_poll_s)
-        for item in remaining:
-            cache_key = item[4]
+        for job in waiting:
             self.stats.claim_takeovers += 1
-            self.stats.record_event(
-                "claim_takeover", key=cache_key[:16], reason="wait_expired"
-            )
-        self._simulate_items(remaining)
+            self.stats.record_event("claim_takeover", key=job.key[:16],
+                                    reason="wait_expired")
+        self._run_jobs(kind, waiting, out)
 
-    def _simulate_items(self, pending) -> None:
-        """Simulate claimed work items in parallel; store and release."""
-        if not pending:
+    def _run_jobs(self, kind: _JobKind, jobs: List[_Job], out) -> None:
+        """Compute jobs group by group, scatter, store, release claims.
+
+        Claims taken in :meth:`_resolve` (or stolen during the wait) are
+        always released, even when a job raises.
+        """
+        if not jobs:
             return
-        tasks = [(benchmark, config) for _, _, benchmark, config, _ in pending]
         try:
-            results = self._execute(tasks)
-            for (memo, memo_key, _, _, cache_key), result in zip(pending, results):
-                self.stats.simulated += 1
-                self.stats.instructions_simulated += self.settings.trace_length
-                memo[memo_key] = result
-                if self.cache is not None:
-                    self.cache.store(cache_key, result)
+            by_group: Dict[object, List[_Job]] = {}
+            for job in jobs:
+                by_group.setdefault(kind.group(self, job.spec), []).append(job)
+            groups = list(by_group.values())
+            for members, results in zip(groups, self._dispatch(kind, groups)):
+                for job, result in zip(members, results):
+                    for index in job.targets:
+                        out[index] = result
+                    if job.key is not None and self.cache is not None:
+                        self.cache.store(job.key, result)
         finally:
             if self.cache is not None:
-                for _, _, _, _, cache_key in pending:
-                    self.cache.release_claim(cache_key)
+                for job in jobs:
+                    if job.claimed:
+                        self.cache.release_claim(job.key)
 
-    def _execute(self, tasks: List[Tuple[str, CPUConfig]]) -> List[SimulationResult]:
-        """Run simulations, fanning out across processes when worthwhile.
+    def _dispatch(self, kind: _JobKind,
+                  groups: List[List[_Job]]) -> List[List]:
+        """Run groups inline or across the worker pool.
 
-        The parallel path is fault tolerant: every task is tracked
-        individually, completed results are never discarded, a dead
-        worker (OOM kill, interpreter abort) only costs the tasks that
-        had not finished — they are retried on a fresh pool with bounded
-        exponential backoff — and tasks that keep failing run serially
-        in this process.  A pool that keeps breaking degrades the whole
-        remainder to serial execution with a warning.  Simulations are
-        deterministic, so every recovery path yields results identical
-        to a clean run; :class:`ContextStats` records what happened.
+        The one pool rule: the pool engages when ``jobs > 1``, at least
+        the kind's ``min_groups`` groups are pending, and every group's
+        inputs pickle — below that the parent runs them inline, where
+        thermal work keeps sharing the parent's factorization LRU.  An
+        oversized steady group (``REPRO_THERMAL_SUBPROC_CELLS``) forces
+        the pool even for a single group on a single-job context: crash
+        isolation is the point, so it gets one attempt, then an
+        in-process fallback with a warning — not the retry ladder.
+        Worker-side counters come back with each result and are folded
+        into :class:`ContextStats` here.
         """
-        start = time.perf_counter()
+        specs = [[job.spec for job in members] for members in groups]
+        oversized = [kind.oversized(self, group) for group in specs]
+        use_pool = any(oversized) or (
+            self.jobs > 1
+            and len(groups) >= (kind.min_groups
+                                or self.thermal_parallel_min_groups)
+            and all(kind.poolable(group) for group in specs)
+        )
         self.stats.begin_batch()
         try:
-            settings = self.settings
-            pool_tasks = [
-                _PoolTask(
-                    fn=_simulate_task,
-                    args=(benchmark, config, settings.trace_length,
-                          settings.warmup, self._trace_file(benchmark)),
-                    serial=(lambda b=benchmark, c=config: self._run_serial(b, c)),
-                    detail={"benchmark": benchmark, "config": config.name},
-                    timeout_s=self.task_timeout_s,
-                    max_attempts=self.max_task_attempts,
+            if use_pool:
+                tasks = []
+                for group, big in zip(specs, oversized):
+                    fn, args = kind.task(self, group, inline=False)
+                    tasks.append(_PoolTask(
+                        args=(kind.fault_point, fn, args),
+                        serial=lambda g=group: (self._run_inline(kind, g), None),
+                        detail=kind.describe(self, group),
+                        timeout_s=getattr(self, kind.timeout),
+                        max_attempts=1 if big else self.max_task_attempts,
+                    ))
+                outs = self._run_pool_tasks(tasks, kind.stage)
+                seconds = [(ws or {}).get("seconds") for _, ws in outs]
+            else:
+                outs, seconds = [], []
+                for group in specs:
+                    t0 = time.perf_counter()
+                    outs.append((self._run_inline(kind, group), None))
+                    seconds.append(round(time.perf_counter() - t0, 3))
+            for members, group, big, (_, worker_stats), secs in zip(
+                    groups, specs, oversized, outs, seconds):
+                kind.account(self, members, worker_stats, big)
+                if big and worker_stats is None:
+                    self.stats.thermal_subproc_fallbacks += 1
+                    self.stats.record_event("thermal_subproc_fallback",
+                                            batches=len(group))
+                    warnings.warn(
+                        f"supervised thermal solve failed; solved "
+                        f"{len(group)} batch(es) in-process",
+                        RuntimeWarning, stacklevel=3,
+                    )
+                self.stats.record_event(
+                    f"{kind.stage}_group", **kind.describe(self, group),
+                    where="inline" if worker_stats is None else "worker",
+                    seconds=secs,
                 )
-                for benchmark, config in tasks
-            ]
-            return self._run_pool_tasks(pool_tasks, kind="simulation")
+            return [results for results, _ in outs]
         finally:
             self.stats.end_batch()
-            self.stats.add_stage("simulate", time.perf_counter() - start)
 
-    def _run_serial(self, benchmark: str, config: CPUConfig) -> SimulationResult:
-        """One in-process simulation (also the per-task fallback path)."""
-        return simulate(
-            self._trace_for_simulation(benchmark), config,
-            warmup=self.settings.warmup,
-        )
+    def _run_inline(self, kind: _JobKind, specs: list) -> List:
+        """One group in this process (also the per-task serial fallback)."""
+        fn, args = kind.task(self, specs, inline=True)
+        return fn(*args)
 
     def _new_pool(self, workers: int):
         try:
@@ -908,36 +1028,28 @@ class ExperimentContext:
         self.stats.record_event("serial_degrade", kind=kind, reason=reason,
                                 tasks=len(indices))
         for index in indices:
-            task = tasks[index]
-            if task.on_fallback is not None:
-                task.on_fallback(f"pool {reason}")
-            results[index] = task.serial()
+            results[index] = tasks[index].serial()
             self.stats.serial_fallbacks += 1
 
-    def _run_pool_tasks(self, tasks: List[_PoolTask], kind: str,
-                        force_pool: bool = False) -> List:
+    def _run_pool_tasks(self, tasks: List[_PoolTask], kind: str) -> List:
         """Run :class:`_PoolTask` descriptors on a fault-tolerant pool.
 
-        The shared executor behind both the simulation and thermal fan-
-        out.  ``force_pool`` insists on worker processes even for a
-        single task on a single-job context (the crash isolation the
-        supervised thermal path needs).  Tasks carry their own deadlines
-        and attempt budgets, so one dispatch can mix quick tasks with
-        supervised one-shot ones.
+        Every task is tracked individually, completed results are never
+        discarded, a dead worker (OOM kill, interpreter abort) only costs
+        the tasks that had not finished — they are retried on a fresh
+        pool with bounded exponential backoff — and tasks that keep
+        failing run serially in this process.  A pool that keeps
+        breaking degrades the whole remainder to serial execution with a
+        warning.  Tasks carry their own deadlines and attempt budgets, so
+        one dispatch can mix quick tasks with supervised one-shot ones;
+        :class:`ContextStats` records what happened.
         """
         workers = max(1, min(self.jobs, len(tasks)))
-        if workers <= 1 and not force_pool:
-            return [task.serial() for task in tasks]
         pool = self._new_pool(workers)
         if pool is None:
             self.stats.record_event("pool_unavailable", kind=kind,
                                     tasks=len(tasks))
-            out = []
-            for task in tasks:
-                if task.on_fallback is not None:
-                    task.on_fallback("pool unavailable")
-                out.append(task.serial())
-            return out
+            return [task.serial() for task in tasks]
 
         from concurrent.futures import wait as wait_futures
         from concurrent.futures.process import BrokenProcessPool
@@ -956,7 +1068,7 @@ class ExperimentContext:
                 for index in pending:
                     task = tasks[index]
                     try:
-                        future = pool.submit(task.fn, *task.args)
+                        future = pool.submit(supervised.run_group, *task.args)
                     except (BrokenProcessPool, RuntimeError):
                         # The pool broke under our feet; everything not
                         # yet submitted joins the retry set.
@@ -1083,8 +1195,6 @@ class ExperimentContext:
                     **task.detail,
                     attempts=attempts[index],
                 )
-                if task.on_fallback is not None:
-                    task.on_fallback("attempts exhausted")
                 results[index] = task.serial()
                 self.stats.serial_fallbacks += 1
         return retryable
@@ -1132,46 +1242,29 @@ class ExperimentContext:
 
     def thermal(self, benchmark: str, config_label: str) -> ThermalResult:
         """Thermal map with the benchmark replicated on every core."""
-        key = (benchmark, config_label)
-        result = self._thermals.get(key)
-        if result is None:
-            stack = CONFIG_STACKS[config_label]
-            breakdown = self.power(benchmark, config_label)
-            result = self.thermal_for_breakdowns([breakdown] * CORE_COUNT, stack)
-            self._thermals[key] = result
-        return result
+        pair = (benchmark, config_label)
+        return self.thermal_many([pair])[pair]
 
     def thermal_many(
         self, pairs: Sequence[Tuple[str, str]]
     ) -> Dict[Tuple[str, str], ThermalResult]:
         """Thermal maps for many (benchmark, config label) pairs.
 
-        Pending simulations are prefetched in parallel, then all maps
-        sharing a stack are solved as one batched right-hand-side call
-        against that stack's already-LU-factorized solver.
+        Pending simulations are prefetched in parallel, then every map
+        is solved in one engine dispatch, batched per stack against its
+        already-LU-factorized solver.
         """
         pairs = list(pairs)
-        if self._power_model is None:
-            self.prefetch(pairs + [(REFERENCE_BENCHMARK, "Base")])
-        else:
-            self.prefetch(pairs)
-        by_stack: Dict[StackKind, List[Tuple[str, str]]] = {}
-        for pair in pairs:
-            if pair in self._thermals or pair in by_stack.get(
-                CONFIG_STACKS[pair[1]], ()
-            ):
-                continue
-            by_stack.setdefault(CONFIG_STACKS[pair[1]], []).append(pair)
-        solved = self.thermal_grouped({
-            stack: [
-                ([self.power(benchmark, label)] * CORE_COUNT, 1.0)
-                for benchmark, label in group
-            ]
-            for stack, group in by_stack.items()
-        })
-        for stack, group in by_stack.items():
-            for pair, result in zip(group, solved[stack]):
-                self._thermals[pair] = result
+        self.prefetch(pairs + [(REFERENCE_BENCHMARK, "Base")])
+        pending = [pair for pair in dict.fromkeys(pairs)
+                   if pair not in self._thermals]
+        solved = self.solve_thermal_groups([
+            (self.solver(CONFIG_STACKS[label]), [self._power_grids(
+                CONFIG_STACKS[label], [self.power(benchmark, label)] * CORE_COUNT,
+            )])
+            for benchmark, label in pending
+        ])
+        self._thermals.update(zip(pending, (maps[0] for maps in solved)))
         return {pair: self._thermals[pair] for pair in pairs}
 
     def thermal_for_breakdowns(
@@ -1194,8 +1287,6 @@ class ExperimentContext:
         against the stack's LU-factorized conductance matrix; solved
         maps are persisted in the on-disk cache.
         """
-        if not requests:
-            return []
         return self.thermal_grouped({stack: list(requests)})[stack]
 
     def thermal_grouped(
@@ -1210,23 +1301,25 @@ class ExperimentContext:
         out across the worker pool (:meth:`solve_thermal_groups`) instead
         of blocking on one stack at a time.
         """
-        groups: List[Tuple[ThermalSolver, List[Sequence]]] = []
-        order: List[StackKind] = []
-        for stack, requests in requests_by_stack.items():
-            plan = self.floorplan(stack)
-            solver = self.solver(stack)
-            ny, nx = solver.chip_grid_shape()
-            batches = []
-            for breakdowns, power_scale in requests:
-                watts = build_power_map(plan, breakdowns)
-                if power_scale != 1.0:
-                    watts = {key: value * power_scale
-                             for key, value in watts.items()}
-                batches.append(rasterize(plan, watts, nx, ny))
-            groups.append((solver, batches))
-            order.append(stack)
-        solved = self.solve_thermal_groups(groups)
-        return dict(zip(order, solved))
+        stacks = list(requests_by_stack)
+        solved = self.solve_thermal_groups([
+            (self.solver(stack), [
+                self._power_grids(stack, breakdowns, power_scale)
+                for breakdowns, power_scale in requests_by_stack[stack]
+            ])
+            for stack in stacks
+        ])
+        return dict(zip(stacks, solved))
+
+    def _power_grids(self, stack: StackKind, breakdowns: List[PowerBreakdown],
+                     power_scale: float = 1.0) -> List:
+        """Per-die chip power grids of per-core breakdowns on ``stack``."""
+        plan = self.floorplan(stack)
+        ny, nx = self.solver(stack).chip_grid_shape()
+        watts = build_power_map(plan, breakdowns)
+        if power_scale != 1.0:
+            watts = {key: value * power_scale for key, value in watts.items()}
+        return rasterize(plan, watts, nx, ny)
 
     def solve_thermal(
         self,
@@ -1240,264 +1333,28 @@ class ExperimentContext:
         hits skip the solve entirely, and the misses share one batched
         backsubstitution — so warm report reruns do no thermal work.
         """
-        batches = list(batches)
-        if not batches:
-            return []
         return self.solve_thermal_groups([(solver, batches)])[0]
 
     def solve_thermal_groups(
         self,
         groups: Sequence[Tuple[ThermalSolver, Sequence[Sequence]]],
     ) -> List[List[ThermalResult]]:
-        """The parallel thermal solve engine: many geometry groups at once.
+        """Steady thermal solves for many geometry groups at once.
 
-        Each group is one solver (geometry) with its pending power-grid
-        batches.  Entries are deduplicated by thermal key within the
-        call, served from the on-disk cache when possible, coordinated
-        with peer processes through the claim protocol (two processes
-        never factorize the same geometry concurrently), and the misses
-        are fanned out per *geometry* across the worker pool — each
-        worker assembles, factorizes, and backsubstitutes every
-        right-hand side for its geometry and ships the temperature
-        arrays back (SuperLU handles never cross the process boundary).
-        Solves are deterministic, so results are byte-identical to the
-        serial path.
+        Each group is one solver (geometry) with its power-grid batches.
+        The engine keys every batch by :func:`thermal_key`, serves hits
+        from disk, and solves the misses per factorization
+        (:meth:`ThermalSolver.matrix_key`): inline, or — with several
+        geometries pending — one pool task per geometry that assembles,
+        factorizes, and backsubstitutes every right-hand side and ships
+        the temperature arrays back (SuperLU handles never cross the
+        process boundary).  Results are byte-identical either way.
         """
         groups = [(solver, list(batches)) for solver, batches in groups]
-        results: List[List[Optional[ThermalResult]]] = [
-            [None] * len(batches) for _, batches in groups
-        ]
-        seen: Dict[str, dict] = {}
-        work: List[dict] = []
-        waiting: List[dict] = []
-        for gi, (solver, batches) in enumerate(groups):
-            for pos, grids in enumerate(batches):
-                key = thermal_key(solver, grids)
-                unit = seen.get(key)
-                if unit is not None:  # duplicate within this call
-                    unit["targets"].append((gi, pos))
-                    continue
-                if self.cache is not None:
-                    cached = self.cache.load(key, ThermalResult)
-                    if cached is not None:
-                        self.stats.thermal_disk_hits += 1
-                        results[gi][pos] = cached
-                        continue
-                unit = {"key": key, "solver": solver, "grids": grids,
-                        "targets": [(gi, pos)], "claimed": False}
-                seen[key] = unit
-                if self.cache is not None and not self.cache.try_claim(key):
-                    waiting.append(unit)
-                else:
-                    unit["claimed"] = self.cache is not None
-                    work.append(unit)
-        if work or waiting:
-            start = time.perf_counter()
-            try:
-                if work:
-                    self._solve_thermal_units(work, results)
-                if waiting:
-                    self._await_thermal_claims(waiting, results)
-            finally:
-                self.stats.add_stage("thermal", time.perf_counter() - start)
-        return results
-
-    def _solve_thermal_units(self, units: List[dict], results) -> None:
-        """Solve units (one per distinct thermal key), scatter, persist.
-
-        Units sharing a geometry are merged into one group so their
-        right-hand sides share a factorization wherever the group runs;
-        claims taken in :meth:`solve_thermal_groups` (or stolen during
-        the wait) are always released, even when a solve raises.
-        """
-        try:
-            by_geometry: Dict[Tuple, List[dict]] = {}
-            for unit in units:
-                key = unit["solver"].matrix_key()
-                by_geometry.setdefault(key, []).append(unit)
-            grouped = list(by_geometry.values())
-            solved = self._dispatch_thermal([
-                (members[0]["solver"], [u["grids"] for u in members])
-                for members in grouped
-            ])
-            for members, outs in zip(grouped, solved):
-                for unit, result in zip(members, outs):
-                    for gi, pos in unit["targets"]:
-                        results[gi][pos] = result
-                        self.stats.thermal_solved += 1
-                    if self.cache is not None:
-                        self.cache.store(unit["key"], result)
-        finally:
-            if self.cache is not None:
-                for unit in units:
-                    if unit["claimed"]:
-                        self.cache.release_claim(unit["key"])
-
-    def _await_thermal_claims(self, waiting: List[dict], results) -> None:
-        """Collectively wait on peer-claimed thermal keys, stealing as we go.
-
-        The thermal twin of :meth:`_await_claims`: one bounded deadline
-        covers the whole set, landed results are adopted
-        (``claim_dedup``), abandoned claims are taken over and solved
-        immediately (``claim_steals``), and keys still claimed at the
-        deadline are solved uncoordinated.
-        """
-        cache = self.cache
-        for unit in waiting:
-            self.stats.claim_waits += 1
-            self.stats.record_event("claim_wait", key=unit["key"][:16])
-        deadline = time.monotonic() + self.claim_wait_s
-        remaining = list(waiting)
-        while remaining:
-            still = []
-            stolen = []
-            for unit in remaining:
-                key = unit["key"]
-                result = cache.load(key, ThermalResult)
-                if result is not None:
-                    self.stats.claim_dedup += 1
-                    self.stats.record_event("claim_dedup", key=key[:16])
-                    for gi, pos in unit["targets"]:
-                        results[gi][pos] = result
-                    continue
-                if cache.claim_stale(key, self.claim_stale_s):
-                    cache.break_claim(key)
-                    self.stats.claim_takeovers += 1
-                    self.stats.record_event(
-                        "claim_takeover", key=key[:16], reason="stale"
-                    )
-                    unit["claimed"] = cache.try_claim(key)
-                    stolen.append(unit)
-                    continue
-                if cache.claim_holder(key) is None:
-                    # Holder released without storing (full disk, crash
-                    # between release and store): claim and solve.
-                    self.stats.claim_takeovers += 1
-                    self.stats.record_event(
-                        "claim_takeover", key=key[:16], reason="released"
-                    )
-                    unit["claimed"] = cache.try_claim(key)
-                    stolen.append(unit)
-                    continue
-                still.append(unit)
-            if stolen:
-                self.stats.claim_steals += len(stolen)
-                self.stats.record_event("claim_steal", tasks=len(stolen))
-                self._solve_thermal_units(stolen, results)
-            remaining = still
-            if not remaining:
-                return
-            if time.monotonic() >= deadline:
-                break
-            time.sleep(self.claim_poll_s)
-        for unit in remaining:
-            self.stats.claim_takeovers += 1
-            self.stats.record_event(
-                "claim_takeover", key=unit["key"][:16], reason="wait_expired"
-            )
-            unit["claimed"] = False  # solve uncoordinated, no claim taken
-        self._solve_thermal_units(remaining, results)
-
-    def _thermal_cells(self, solver: ThermalSolver) -> int:
-        """Unknown count of one geometry's linear system."""
-        return len(solver.stack.layers) * solver.ny * solver.nx
-
-    def _thermal_subproc_fallback(self, batches: int) -> Callable[[str], None]:
-        """The supervised-path fallback hook: count, log, and warn."""
-        def on_fallback(reason: str) -> None:
-            self.stats.thermal_subproc_fallbacks += 1
-            self.stats.record_event("thermal_subproc_fallback",
-                                    reason=reason, batches=batches)
-            warnings.warn(
-                f"supervised thermal solve failed ({reason}); "
-                f"solving {batches} batch(es) in-process",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return on_fallback
-
-    def _dispatch_thermal(
-        self, geometry_groups: List[Tuple[ThermalSolver, List[Sequence]]]
-    ) -> List[List[ThermalResult]]:
-        """Solve geometry groups inline or across the worker pool.
-
-        The pool path pays a spin-up and forfeits the parent's
-        factorization LRU, so it only engages when several distinct
-        geometries are pending (``thermal_parallel_min_groups``) — or
-        when a group is oversized (``REPRO_THERMAL_SUBPROC_CELLS``), in
-        which case crash isolation demands a subprocess even for a
-        single group on a single-job context: that is the supervised
-        solve of old, folded into the same worker path.  Oversized
-        groups keep its one-attempt contract — a crash, OOM kill, or
-        hang costs one timeout and an in-process fallback (with a
-        warning), not the retry ladder.
-        """
-        threshold = self.thermal_subproc_cells
-        oversized = [
-            threshold is not None and self._thermal_cells(solver) >= threshold
-            for solver, _ in geometry_groups
-        ]
-        use_pool = any(oversized) or (
-            self.jobs > 1
-            and len(geometry_groups) >= self.thermal_parallel_min_groups
-        )
-        self.stats.thermal_groups += len(geometry_groups)
-        if not use_pool:
-            out = []
-            for solver, grids in geometry_groups:
-                t0 = time.perf_counter()
-                out.append(solver.solve_many(grids))
-                self.stats.record_event(
-                    "thermal_group", geometry=solver.geometry_id(),
-                    batches=len(grids), cells=self._thermal_cells(solver),
-                    where="inline",
-                    seconds=round(time.perf_counter() - t0, 3),
-                )
-            return out
-
-        from repro.experiments.supervised import solve_group_task
-
-        tasks = []
-        for (solver, grids), big in zip(geometry_groups, oversized):
-            tasks.append(_PoolTask(
-                fn=solve_group_task,
-                args=(solver.stack, solver.floorplan, solver.nx, solver.ny,
-                      solver.spreader_mm, grids),
-                serial=(lambda s=solver, g=grids: (s.solve_many(g), None)),
-                detail={"geometry": solver.geometry_id(),
-                        "batches": len(grids),
-                        "cells": self._thermal_cells(solver)},
-                timeout_s=self.thermal_timeout_s,
-                max_attempts=1 if big else self.max_task_attempts,
-                on_fallback=(
-                    self._thermal_subproc_fallback(len(grids)) if big else None
-                ),
-            ))
-        self.stats.begin_batch()
-        try:
-            outs = self._run_pool_tasks(tasks, kind="thermal solve",
-                                        force_pool=True)
-            results = []
-            for (solver, grids), big, out in zip(geometry_groups, oversized,
-                                                 outs):
-                solved, worker_stats = out
-                if worker_stats is not None:
-                    self.stats.thermal_worker_groups += 1
-                    self.stats.thermal_worker_factorizations += (
-                        worker_stats.get("factorizations", 0)
-                    )
-                    if big:
-                        self.stats.thermal_subproc_solves += 1
-                self.stats.record_event(
-                    "thermal_group", geometry=solver.geometry_id(),
-                    batches=len(grids), cells=self._thermal_cells(solver),
-                    where="inline" if worker_stats is None else "worker",
-                    seconds=(worker_stats or {}).get("seconds"),
-                )
-                results.append(solved)
-            return results
-        finally:
-            self.stats.end_batch()
+        solved = iter(self._resolve(_STEADY, [
+            (solver, grids) for solver, batches in groups for grids in batches
+        ]))
+        return [[next(solved) for _ in batches] for _, batches in groups]
 
     # ------------------------------------------------------------------ #
 
@@ -1510,147 +1367,37 @@ class ExperimentContext:
         capacities, dt)`` plus the shared integration window — and every
         group steps its runs in lock-step through one factorization with
         an ``(n, K)`` right-hand-side matrix
-        (:meth:`~repro.thermal.transient.TransientThermalSolver.run_many`).
-        Groups are fanned out across the worker pool exactly like
-        :meth:`solve_thermal_groups` (the factorization never crosses a
-        process boundary; workers rebuild the solver from pure geometry),
-        and stepping is deterministic, so pool results are byte-identical
-        to inline ones.  Returns, per request, the
+        (:meth:`~repro.thermal.transient.TransientThermalSolver.run_many`),
+        inline or one pool task per group.  Runs whose schedule has a
+        :meth:`~repro.thermal.transient.PowerSchedule.cache_key` are
+        content-addressed (:func:`~repro.experiments.cache.transient_key`)
+        and served from disk on warm reruns; plain ``power_fn(t)``
+        callables are computed every time and never leave the process.
+        Returns, per request, the
         :class:`~repro.thermal.transient.TransientResult` and the
         schedule's accumulated stats (throttle duty counters and the
         like — pool workers mutate pickled schedule copies, so the stats
         travel back explicitly).
         """
         requests = list(requests)
-        if not requests:
-            return []
-        groups: Dict[Tuple, dict] = {}
-        order: List[dict] = []
-        for i, req in enumerate(requests):
-            solver = self.solver(req.stack)
-            key = (step_matrix_key(solver, req.dt_s),
-                   req.duration_s, req.initial_k)
-            group = groups.get(key)
-            if group is None:
-                group = {"solver": solver, "req": req,
-                         "indices": [], "schedules": []}
-                groups[key] = group
-                order.append(group)
-            group["indices"].append(i)
-            group["schedules"].append(req.schedule)
         self.stats.transient_runs += len(requests)
-        start = time.perf_counter()
-        try:
-            solved = self._dispatch_transient(order)
-        finally:
-            self.stats.add_stage("transient", time.perf_counter() - start)
-        out: List[Optional[Tuple[TransientResult, Dict[str, float]]]] = (
-            [None] * len(requests)
-        )
-        for group, (results, sched_stats) in zip(order, solved):
-            for i, result, stats in zip(group["indices"], results, sched_stats):
-                out[i] = (result, stats)
-        return out
+        return self._resolve(_TRANSIENT, requests)
 
-    def _run_transient_group(
-        self, group: dict
-    ) -> Tuple[List[TransientResult], List[Dict[str, float]]]:
-        """Inline path: step one group in-process (shares the parent's
-        step-matrix LRU)."""
-        req = group["req"]
-        transient = TransientThermalSolver(group["solver"], dt_s=req.dt_s)
-        results = transient.run_many(
-            group["schedules"], req.duration_s, initial_k=req.initial_k
-        )
-        return results, [
-            s.stats() if isinstance(s, PowerSchedule) else {}
-            for s in group["schedules"]
-        ]
+    def leakage_feedback(
+        self,
+        requests: Sequence[Tuple[ThermalSolver, Sequence, Sequence, float]],
+    ) -> List[Tuple[float, float, float]]:
+        """Leakage-temperature fixed points, one per ``(solver, dynamic
+        grids, reference leakage grids, reference K)`` request.
 
-    def _dispatch_transient(
-        self, groups: List[dict]
-    ) -> List[Tuple[List[TransientResult], List[Dict[str, float]]]]:
-        """Step groups inline or across the worker pool.
-
-        Mirrors :meth:`_dispatch_thermal`: the pool only engages when
-        several step-matrix groups are pending
-        (``thermal_parallel_min_groups``) and every schedule is a
-        picklable :class:`~repro.thermal.transient.PowerSchedule` (plain
-        callables stay inline).
+        Returns ``(fixed-leakage peak K, coupled peak K, leakage
+        amplification)`` per request (see
+        :func:`~repro.thermal.feedback.solve_with_leakage_feedback`);
+        outcomes are content-addressed
+        (:func:`~repro.experiments.cache.leakage_key`), so warm reruns
+        neither solve nor factorize.
         """
-        self.stats.transient_groups += len(groups)
-        steps_of = {}
-        for group in groups:
-            req = group["req"]
-            steps = max(1, int(round(req.duration_s / req.dt_s)))
-            steps_of[id(group)] = steps
-            self.stats.transient_steps += steps * len(group["schedules"])
-        use_pool = (
-            self.jobs > 1
-            and len(groups) >= self.thermal_parallel_min_groups
-            and all(
-                isinstance(schedule, PowerSchedule)
-                for group in groups
-                for schedule in group["schedules"]
-            )
-        )
-        if not use_pool:
-            out = []
-            for group in groups:
-                t0 = time.perf_counter()
-                out.append(self._run_transient_group(group))
-                self.stats.record_event(
-                    "transient_group",
-                    geometry=group["solver"].geometry_id(),
-                    runs=len(group["schedules"]),
-                    steps=steps_of[id(group)],
-                    where="inline",
-                    seconds=round(time.perf_counter() - t0, 3),
-                )
-            return out
-
-        from repro.experiments.supervised import transient_group_task
-
-        tasks = []
-        for group in groups:
-            solver = group["solver"]
-            req = group["req"]
-            tasks.append(_PoolTask(
-                fn=transient_group_task,
-                args=(solver.stack, solver.floorplan, solver.nx, solver.ny,
-                      solver.spreader_mm, req.dt_s, group["schedules"],
-                      req.duration_s, req.initial_k),
-                serial=(lambda g=group: self._run_transient_group(g) + (None,)),
-                detail={"geometry": solver.geometry_id(),
-                        "runs": len(group["schedules"]),
-                        "steps": steps_of[id(group)]},
-                timeout_s=self.thermal_timeout_s,
-                max_attempts=self.max_task_attempts,
-            ))
-        self.stats.begin_batch()
-        try:
-            outs = self._run_pool_tasks(tasks, kind="transient step",
-                                        force_pool=True)
-            results = []
-            for group, out in zip(groups, outs):
-                solved, sched_stats, worker_stats = out
-                if worker_stats is not None:
-                    self.stats.transient_worker_groups += 1
-                    self.stats.transient_worker_factorizations += (
-                        worker_stats.get("step_factorizations", 0)
-                    )
-                self.stats.record_event(
-                    "transient_group",
-                    geometry=group["solver"].geometry_id(),
-                    runs=len(group["schedules"]),
-                    steps=steps_of[id(group)],
-                    where="inline" if worker_stats is None else "worker",
-                    seconds=(worker_stats or {}).get("seconds"),
-                )
-                results.append((solved, sched_stats))
-            return results
-        finally:
-            self.stats.end_batch()
+        return self._resolve(_LEAKAGE, list(requests))
 
 
 @dataclass
@@ -1661,7 +1408,8 @@ class TransientRequest:
     step in lock-step through one factorization; ``schedule`` supplies
     the per-step power grids (a
     :class:`~repro.thermal.transient.PowerSchedule` or a plain
-    ``power_fn(t)`` callable — the latter forces inline dispatch).
+    ``power_fn(t)`` callable — the latter forces inline dispatch and is
+    never cached).
     """
 
     stack: StackKind

@@ -29,7 +29,7 @@ closes the loop:
 All stepping is deterministic and the extraction always uses the
 columnar capture path, so the report section is byte-identical across
 serial/parallel runs and ``REPRO_COLUMNAR`` modes, and a warm run
-re-simulates nothing.
+re-simulates and re-steps nothing.
 """
 
 from __future__ import annotations
@@ -78,6 +78,10 @@ class IntervalPowerTrace:
     time_ns: np.ndarray
     chip_watts: np.ndarray
     die_grids: List[List[np.ndarray]]
+    #: the trace's :func:`~repro.experiments.cache.interval_trace_key`
+    #: (transient runs replaying it are keyed on it); None for traces
+    #: assembled outside :func:`extract_interval_trace`
+    key: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.die_grids)
@@ -100,15 +104,14 @@ def extract_interval_trace(
     stack = CONFIG_STACKS[config_label]
     solver = context.solver(stack)
     model = context.power_model()
-    key = None
+    key = interval_trace_key(
+        context._cache_key(benchmark, config),
+        interval_insts,
+        model.activity_scale,
+        CORE_COUNT,
+        solver,
+    )
     if context.cache is not None:
-        key = interval_trace_key(
-            context._cache_key(benchmark, config),
-            interval_insts,
-            model.activity_scale,
-            CORE_COUNT,
-            solver,
-        )
         cached = context.cache.load(key, IntervalPowerTrace)
         if cached is not None:
             context.stats.interval_disk_hits += 1
@@ -153,10 +156,11 @@ def extract_interval_trace(
         time_ns=time_ns,
         chip_watts=chip_watts,
         die_grids=die_grids,
+        key=key,
     )
     context.stats.intervals_extracted += len(die_grids)
     context.stats.add_stage("interval", time.perf_counter() - start)
-    if key is not None:
+    if context.cache is not None:
         context.cache.store(key, trace)
     return trace
 
@@ -225,6 +229,18 @@ class IntervalPowerSchedule(PowerSchedule):
                 # between the free-running and throttled schedules.
                 return [g * self.throttle_factor for g in grids]
         return grids
+
+    def cache_key(self) -> Optional[dict]:
+        if self.trace.key is None:
+            return None
+        return {
+            "schedule": "interval",
+            "trace": self.trace.key,
+            "pass_s": self.pass_s,
+            "ceiling_k": self.ceiling_k,
+            "throttle_factor": self.throttle_factor,
+            "hysteresis_k": self.hysteresis_k,
+        }
 
     def stats(self) -> Dict[str, float]:
         out = {

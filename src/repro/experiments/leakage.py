@@ -12,17 +12,11 @@ headroom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, Optional
 
 from repro.experiments.context import CORE_COUNT, ExperimentContext, REFERENCE_BENCHMARK
 from repro.power.model import StackKind
-from repro.thermal.feedback import (
-    FeedbackResult,
-    solve_with_leakage_feedback,
-    uniform_leakage_grids,
-)
+from repro.thermal.feedback import uniform_leakage_grids
 from repro.thermal.power_map import build_power_map, rasterize
 
 #: Leakage is budgeted at the paper's planar worst-case temperature.
@@ -64,7 +58,7 @@ def run_leakage_feedback(
     context = context or ExperimentContext()
     context.prefetch([(benchmark, label) for label in CONFIG_LABELS]
                      + [(REFERENCE_BENCHMARK, "Base")])
-    outcomes: Dict[str, tuple] = {}
+    requests = []
     for label in CONFIG_LABELS:
         stack_kind = StackKind.PLANAR_2D if label == "Base" else StackKind.STACKED_3D
         breakdown = context.power(benchmark, label)
@@ -82,14 +76,8 @@ def run_leakage_feedback(
             g * (dynamic_total / chip_total) for g in full_grids
         ]
         leak_grids = uniform_leakage_grids(solver, leakage_total)
-
-        fixed = solver.solve([d + l for d, l in zip(dynamic_grids, leak_grids)])
-        feedback: FeedbackResult = solve_with_leakage_feedback(
-            solver, dynamic_grids, leak_grids, reference_k=LEAKAGE_REFERENCE_K,
+        requests.append(
+            (solver, dynamic_grids, leak_grids, LEAKAGE_REFERENCE_K)
         )
-        outcomes[label] = (
-            fixed.peak_temperature,
-            feedback.result.peak_temperature,
-            feedback.leakage_amplification,
-        )
-    return LeakageFeedbackResult(outcomes=outcomes)
+    outcomes = context.leakage_feedback(requests)
+    return LeakageFeedbackResult(outcomes=dict(zip(CONFIG_LABELS, outcomes)))

@@ -1,23 +1,28 @@
-"""Worker-side thermal solving for the parallel thermal engine.
+"""Worker side of the job engine: pure worker functions and the pool entry.
 
-SuperLU factorizations grow superlinearly with the grid: a huge sweep
-configuration can exhaust memory and abort the interpreter, and unlike
-simulation tasks the thermal solve historically ran *in the parent
-process*, so one oversized factorization took the whole campaign down.
+:meth:`repro.experiments.context.ExperimentContext` resolves every kind
+of work — simulations, steady thermal solves, transient runs, leakage
+feedback — through one engine that groups pending jobs and hands each
+group to a worker function defined here.  Worker functions take pure
+inputs (benchmark names, configurations, geometry tuples, power grids,
+picklable schedules) and return one result per job, so the engine can
+call them inline or ship them to a pool process unchanged.  A built
+thermal solver holds an unpicklable SuperLU handle, so geometry travels
+as its constructor arguments and :func:`rebuild_solver` reconstructs
+it; the factorization then lands in the running process's LRU, which
+inline calls share with the rest of the parent.
 
-:func:`solve_group_task` is the worker entry point of
-:meth:`repro.experiments.context.ExperimentContext.solve_thermal_groups`:
-it rebuilds the solver from pure geometry data (a built solver holds an
-unpicklable SuperLU handle), factorizes once, solves every right-hand
-side of its geometry group, and ships back the temperature arrays plus
-its factorization-LRU delta.  The same entry point serves two callers —
-the geometry fan-out that parallelizes cold thermal stages across the
-pool, and the supervised path for solves whose system exceeds
-``REPRO_THERMAL_SUBPROC_CELLS`` unknowns, where a crash, OOM kill, or
-hang in the subprocess costs one timeout and an in-process fallback
-solve instead of the parent.  Solves are deterministic, so worker
-results are bit-identical to in-process ones.
+:func:`run_group` is the only pool entry point: it runs the kind's fault
+point (a no-op unless a fault-injection token directory is armed; see
+:mod:`repro.experiments.faults`), calls the worker, and ships back the
+task's factorization-LRU delta and wall-clock, which the parent folds
+into ``ContextStats`` (worker counters are otherwise invisible across
+the process boundary).  Inline and serial-fallback calls skip it, so
+they are never injected.
 
+Steady solves whose system exceeds ``REPRO_THERMAL_SUBPROC_CELLS``
+unknowns always run in a pool process, where a crash, OOM kill, or hang
+costs one timeout and an in-process fallback instead of the parent.
 When the variable is unset, :func:`default_subproc_cells` supplies a
 threshold calibrated to this machine's RAM (see its docstring for the
 formula); setting it to ``0``/``off``/``no``/``false``/``none`` disables
@@ -28,9 +33,18 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.cpu.pipeline import simulate
+from repro.isa.compiled import TraceReadError, read_compiled
+from repro.thermal.feedback import solve_with_leakage_feedback
 from repro.thermal.solver import FACTORIZATION_STATS, ThermalResult, ThermalSolver
+from repro.thermal.transient import (
+    STEP_FACTORIZATION_STATS,
+    PowerSchedule,
+    TransientThermalSolver,
+)
+from repro.workloads.suite import generate
 
 #: ``REPRO_THERMAL_SUBPROC_CELLS`` values that disable supervision.
 DISABLED_VALUES = frozenset({"0", "off", "no", "false", "none"})
@@ -91,98 +105,115 @@ def default_subproc_cells() -> int:
     return max(int(cells), MIN_SUBPROC_CELLS)
 
 
-def solve_group_task(
-    stack,
-    floorplan,
-    nx: int,
-    ny: int,
-    spreader_mm: float,
-    batches: Sequence[Sequence],
-) -> Tuple[List[ThermalResult], Dict[str, float]]:
-    """Worker entry point: solve one geometry group, report solve stats.
+# ---------------------------------------------------------------------- #
+# The pool entry point
 
-    The solver is reconstructed from its constructor arguments (geometry
-    is pure data) rather than pickled, because a built solver holds an
-    unpicklable SuperLU handle; its factorization lands in the *worker's*
-    process-wide LRU, so a long-lived worker re-solving the same
-    geometry skips ``gstrf`` exactly like the parent would.  Returns the
-    temperature results together with this task's factorization-LRU
-    delta and wall-clock, which the parent folds into ``ContextStats``
-    (worker counters are otherwise invisible across the process
-    boundary).  The fault point mirrors the simulation workers' — no-op
-    unless a token directory is armed.
-    """
-    from repro.experiments.faults import maybe_inject_thermal_fault
 
-    maybe_inject_thermal_fault()
-    start = time.perf_counter()
-    factorizations = FACTORIZATION_STATS.factorizations
-    cache_hits = FACTORIZATION_STATS.cache_hits
-    solver = ThermalSolver(stack, floorplan, nx, ny, spreader_mm)
-    results = solver.solve_many(batches)
-    stats = {
-        "factorizations": FACTORIZATION_STATS.factorizations - factorizations,
-        "cache_hits": FACTORIZATION_STATS.cache_hits - cache_hits,
-        "seconds": round(time.perf_counter() - start, 3),
+def _lru_counters() -> Dict[str, int]:
+    return {
+        "factorizations": FACTORIZATION_STATS.factorizations,
+        "cache_hits": FACTORIZATION_STATS.cache_hits,
+        "step_factorizations": STEP_FACTORIZATION_STATS.factorizations,
+        "step_cache_hits": STEP_FACTORIZATION_STATS.cache_hits,
     }
+
+
+def run_group(fault_point: Callable[[], None], work: Callable,
+              args: tuple) -> Tuple[List, Dict[str, float]]:
+    """Pool entry point: fault point, then ``work(*args)``, plus stats.
+
+    Returns the worker's results together with this task's
+    factorization-LRU deltas (steady and step matrix) and wall-clock.
+    """
+    fault_point()
+    start = time.perf_counter()
+    before = _lru_counters()
+    results = work(*args)
+    stats: Dict[str, float] = {
+        name: value - before[name] for name, value in _lru_counters().items()
+    }
+    stats["seconds"] = round(time.perf_counter() - start, 3)
     return results, stats
 
 
-def transient_group_task(
-    stack,
-    floorplan,
-    nx: int,
-    ny: int,
-    spreader_mm: float,
-    dt_s: float,
-    schedules: Sequence,
-    duration_s: float,
-    initial_k: Optional[float],
-) -> Tuple[List, List[Dict[str, float]], Dict[str, float]]:
-    """Worker entry point: step one step-matrix group of transient runs.
+# ---------------------------------------------------------------------- #
+# Worker functions (pure inputs, one result per job)
 
-    Same contract as :func:`solve_group_task` — the steady solver is
-    rebuilt from pure geometry (the step-matrix factorization lands in
-    the worker's LRU and never crosses the process boundary), every run
-    in the group advances in lock-step through one multi-RHS
-    factorization, and the task ships back its step-factorization delta.
-    Schedules are pickled copies, so their accumulated stats (throttle
-    duty counters) travel back explicitly as the second element.
-    Stepping is deterministic: worker results are bit-identical to the
-    parent's inline path.
+
+def geometry_of(solver: ThermalSolver) -> tuple:
+    """The constructor arguments :func:`rebuild_solver` needs."""
+    return (solver.stack, solver.floorplan, solver.nx, solver.ny,
+            solver.spreader_mm)
+
+
+def rebuild_solver(geometry: tuple) -> ThermalSolver:
+    """A solver for pure geometry data; its factorization comes from (or
+    lands in) this process's LRU."""
+    return ThermalSolver(*geometry)
+
+
+def simulate_runs(benchmark: str, trace_length: int, warmup: int,
+                  trace, configs: Sequence) -> List:
+    """Simulate one trace under each configuration.
+
+    ``trace`` is the trace itself (inline calls pass the parent's
+    memoized compiled trace), the path of its stored compiled form (pool
+    workers memory-map it instead of re-running the emulator), or
+    ``None``.  A damaged or vanished file, or ``None``, degrades to
+    regeneration — the emulator is deterministic, so every path yields
+    the same trace.
     """
-    from repro.experiments.faults import maybe_inject_thermal_fault
-    from repro.thermal.transient import (
-        STEP_FACTORIZATION_STATS,
-        TransientThermalSolver,
-    )
+    if trace is None or isinstance(trace, str):
+        trace = _load_trace(benchmark, trace_length, trace)
+    return [simulate(trace, config, warmup=warmup) for config in configs]
 
-    maybe_inject_thermal_fault()
-    start = time.perf_counter()
-    step_factorizations = STEP_FACTORIZATION_STATS.factorizations
-    step_cache_hits = STEP_FACTORIZATION_STATS.cache_hits
-    solver = ThermalSolver(stack, floorplan, nx, ny, spreader_mm)
-    transient = TransientThermalSolver(solver, dt_s=dt_s)
+
+def _load_trace(benchmark: str, trace_length: int, trace_file: Optional[str]):
+    if trace_file is not None:
+        try:
+            compiled = read_compiled(trace_file)
+        except TraceReadError:
+            pass
+        else:
+            if len(compiled) == trace_length and compiled.name == benchmark:
+                return compiled
+    return generate(benchmark, length=trace_length)
+
+
+def solve_steady(geometry: tuple,
+                 batches: Sequence[Sequence]) -> List[ThermalResult]:
+    """Every right-hand side of one geometry through one factorization."""
+    return rebuild_solver(geometry).solve_many(batches)
+
+
+def step_transient(geometry: tuple, dt_s: float, duration_s: float,
+                   initial_k: Optional[float], schedules: Sequence) -> List:
+    """Step one step-matrix group in lock-step; ``(result, schedule
+    stats)`` per run.  Pool workers step pickled schedule copies, so
+    their accumulated stats (throttle duty counters) travel back
+    explicitly."""
+    transient = TransientThermalSolver(rebuild_solver(geometry), dt_s=dt_s)
     results = transient.run_many(schedules, duration_s, initial_k=initial_k)
-    stats = {
-        "step_factorizations": (
-            STEP_FACTORIZATION_STATS.factorizations - step_factorizations
-        ),
-        "step_cache_hits": (
-            STEP_FACTORIZATION_STATS.cache_hits - step_cache_hits
-        ),
-        "seconds": round(time.perf_counter() - start, 3),
-    }
-    return results, [s.stats() for s in schedules], stats
+    return [
+        (result, s.stats() if isinstance(s, PowerSchedule) else {})
+        for result, s in zip(results, schedules)
+    ]
 
 
-def solve_batches_task(
-    stack,
-    floorplan,
-    nx: int,
-    ny: int,
-    spreader_mm: float,
-    batches: Sequence[Sequence],
-) -> List[ThermalResult]:
-    """Back-compat wrapper around :func:`solve_group_task`: results only."""
-    return solve_group_task(stack, floorplan, nx, ny, spreader_mm, batches)[0]
+def converge_leakage(geometry: tuple, requests: Sequence) -> List[tuple]:
+    """Fixed-leakage and electro-thermally coupled peaks per
+    ``(dynamic grids, leakage grids, reference K)`` request:
+    ``(fixed peak K, coupled peak K, leakage amplification)``."""
+    solver = rebuild_solver(geometry)
+    out = []
+    for dynamic, leakage, reference_k in requests:
+        fixed = solver.solve([d + l for d, l in zip(dynamic, leakage)])
+        feedback = solve_with_leakage_feedback(
+            solver, dynamic, leakage, reference_k=reference_k,
+        )
+        out.append((
+            fixed.peak_temperature,
+            feedback.result.peak_temperature,
+            feedback.leakage_amplification,
+        ))
+    return out

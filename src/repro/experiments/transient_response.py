@@ -14,12 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from repro.experiments.context import CORE_COUNT, ExperimentContext, REFERENCE_BENCHMARK
+from repro.experiments.context import (
+    CORE_COUNT,
+    REFERENCE_BENCHMARK,
+    ExperimentContext,
+    TransientRequest,
+)
 from repro.power.model import StackKind
 from repro.thermal.power_map import build_power_map, rasterize
-from repro.thermal.transient import TransientThermalSolver
+from repro.thermal.transient import ConstantSchedule
 
 
 @dataclass
@@ -65,27 +68,6 @@ def _rasterized_step(context: ExperimentContext, stack_kind: StackKind,
     return solver, rasterize(plan, watts, nx, ny)
 
 
-def _step_response(
-    context: ExperimentContext,
-    label: str,
-    solver,
-    grids,
-    steady,
-    dt_s: float,
-    duration_s: float,
-) -> StepResponse:
-    ambient = solver.stack.ambient_k
-    target = ambient + 0.9 * (steady.peak_temperature - ambient)
-
-    transient = TransientThermalSolver(solver, dt_s=dt_s)
-    response = transient.run(lambda t: grids, duration_s=duration_s)
-    return StepResponse(
-        label=label,
-        steady_peak_k=steady.peak_temperature,
-        time_to_90pct_s=response.time_to_reach(target),
-    )
-
-
 def run_transient_response(
     context: Optional[ExperimentContext] = None,
     benchmark: str = REFERENCE_BENCHMARK,
@@ -96,22 +78,30 @@ def run_transient_response(
     context = context or ExperimentContext()
     context.prefetch([(benchmark, "Base"), (benchmark, "3D"),
                       (REFERENCE_BENCHMARK, "Base")])
-    planar_solver, planar_grids = _rasterized_step(
-        context, StackKind.PLANAR_2D, context.power(benchmark, "Base"))
-    stacked_solver, stacked_grids = _rasterized_step(
-        context, StackKind.STACKED_3D, context.power(benchmark, "3D"))
-    # Both stacks' steady-state anchors solve in one engine dispatch; the
-    # transient stepping itself stays in-process (it reuses the parent's
-    # pre-factorized stepping matrix).
-    steadies = context.solve_thermal_groups([
-        (planar_solver, [planar_grids]), (stacked_solver, [stacked_grids]),
+    steps = {
+        stack: _rasterized_step(context, stack, context.power(benchmark, label))
+        for stack, label in ((StackKind.PLANAR_2D, "Base"),
+                             (StackKind.STACKED_3D, "3D"))
+    }
+    # Both stacks' steady-state anchors solve in one engine dispatch, and
+    # both step responses in one transient dispatch (cached like any
+    # other content-addressed run).
+    steadies = context.solve_thermal_groups(
+        [(solver, [grids]) for solver, grids in steps.values()]
+    )
+    responses = context.transient_many([
+        TransientRequest(stack=stack, schedule=ConstantSchedule(grids),
+                         dt_s=dt_s, duration_s=duration_s)
+        for stack, (_, grids) in steps.items()
     ])
-    planar = _step_response(
-        context, "planar", planar_solver, planar_grids, steadies[0][0],
-        dt_s, duration_s,
-    )
-    stacked = _step_response(
-        context, "3D-TH", stacked_solver, stacked_grids, steadies[1][0],
-        dt_s, duration_s,
-    )
-    return TransientResponseResult(planar=planar, stacked=stacked)
+    out = []
+    for (solver, _), (steady,), (response, _), label in zip(
+            steps.values(), steadies, responses, ("planar", "3D-TH")):
+        ambient = solver.stack.ambient_k
+        target = ambient + 0.9 * (steady.peak_temperature - ambient)
+        out.append(StepResponse(
+            label=label,
+            steady_peak_k=steady.peak_temperature,
+            time_to_90pct_s=response.time_to_reach(target),
+        ))
+    return TransientResponseResult(planar=out[0], stacked=out[1])

@@ -15,6 +15,12 @@ from repro.circuits.blocks import BlockModel, build_block_models
 from repro.core.activity import NUM_DIES, ModuleActivity
 from repro.cpu.results import SimulationResult
 
+#: Bump on any change to what :meth:`PowerModel.evaluate` or
+#: :meth:`PowerModel.evaluate_intervals` computes: persisted interval
+#: power traces (and the transient runs keyed on them) fold it into
+#: their cache keys.
+POWER_MODEL_VERSION = 1
+
 #: Activity-module -> circuit-block mapping (identity unless listed).
 _BLOCK_FOR_MODULE = {
     "alu": "int_adder",

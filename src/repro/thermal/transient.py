@@ -32,6 +32,7 @@ Two integration paths share that factorization:
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -88,6 +89,30 @@ class PowerSchedule:
     def stats(self) -> Dict[str, float]:
         """Schedule-side counters accumulated during a run (may be empty)."""
         return {}
+
+    def cache_key(self) -> Optional[dict]:
+        """A JSON-able description that fully determines the power this
+        schedule supplies (class, parameters, content key of its input),
+        or ``None`` — the default — when runs driven by it must not be
+        persisted."""
+        return None
+
+
+class ConstantSchedule(PowerSchedule):
+    """The same per-die power grids at every step (a power step input)."""
+
+    def __init__(self, grids: Sequence[np.ndarray]):
+        self.grids = [np.asarray(g, dtype=float) for g in grids]
+
+    def power_grids(self, t_s: float, prev_peak_k: float) -> Sequence[np.ndarray]:
+        return self.grids
+
+    def cache_key(self) -> dict:
+        digest = hashlib.sha256()
+        for grid in self.grids:
+            digest.update(repr(grid.shape).encode("utf-8"))
+            digest.update(np.ascontiguousarray(grid).tobytes())
+        return {"schedule": "constant", "grids": digest.hexdigest()}
 
 
 class _CallableSchedule(PowerSchedule):

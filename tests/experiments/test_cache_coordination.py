@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -20,6 +21,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments import cache as cache_module
@@ -29,9 +31,17 @@ from repro.experiments.cache import (
     ENV_CACHE_MAX_MB,
     ResultCache,
     SizeLedger,
+    thermal_key,
     trace_store_key,
+    transient_key,
 )
-from repro.experiments.context import ExperimentContext, ExperimentSettings
+from repro.experiments.context import (
+    ExperimentContext,
+    ExperimentSettings,
+    TransientRequest,
+)
+from repro.power.model import StackKind
+from repro.thermal.transient import ConstantSchedule
 
 TINY = ExperimentSettings(
     trace_length=2_000,
@@ -107,14 +117,51 @@ class TestClaimProtocol:
         assert cache.claim_holder(live) is not None
 
 
+def _simulation_job(context):
+    key = context._cache_key("adpcm", context._config_for("Base"))
+    return key, lambda: context.run("adpcm", "Base")
+
+
+def _uniform_grids(solver):
+    ny, nx = solver.chip_grid_shape()
+    return [np.full((ny, nx), 0.05) for _ in range(solver.stack.die_count)]
+
+
+def _thermal_job(context):
+    solver = context.solver(StackKind.PLANAR_2D)
+    grids = _uniform_grids(solver)
+    return (thermal_key(solver, grids),
+            lambda: context.solve_thermal(solver, [grids])[0])
+
+
+def _transient_job(context):
+    solver = context.solver(StackKind.PLANAR_2D)
+    schedule = ConstantSchedule(_uniform_grids(solver))
+    request = TransientRequest(stack=StackKind.PLANAR_2D, schedule=schedule,
+                               dt_s=0.05, duration_s=0.5)
+    key = transient_key(schedule.cache_key(), solver, 0.05, 0.5, None)
+    return key, lambda: context.transient_many([request])[0]
+
+
+#: job kind -> (key and call for a context, the counter its work bumps)
+JOB_KINDS = {
+    "simulation": (_simulation_job, "simulated"),
+    "thermal": (_thermal_job, "thermal_solved"),
+    "transient": (_transient_job, "transient_steps"),
+}
+
+
 class TestClaimCoordination:
-    def test_waiter_adopts_peer_result(self, tmp_path):
-        """The claim loser waits and simulates nothing — one simulation total."""
-        produced = ExperimentContext(TINY, jobs=1, cache=None).run("adpcm", "Base")
+    @pytest.mark.parametrize("kind", list(JOB_KINDS))
+    def test_waiter_adopts_peer_result(self, tmp_path, kind):
+        """The claim loser waits and computes nothing — one computation
+        total, whichever kind of job the key names."""
+        job, work_counter = JOB_KINDS[kind]
+        produced = job(ExperimentContext(TINY, jobs=1, cache=None))[1]()
         shared = ResultCache(tmp_path)
         context = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
         context.claim_poll_s = 0.01
-        key = context._cache_key("adpcm", context._config_for("Base"))
+        key, call = job(context)
         assert shared.try_claim(key)  # a "peer process" wins the claim
 
         def peer_finishes():
@@ -125,13 +172,13 @@ class TestClaimCoordination:
         thread = threading.Thread(target=peer_finishes)
         thread.start()
         try:
-            result = context.run("adpcm", "Base")
+            result = call()
         finally:
             thread.join()
-        assert context.stats.simulated == 0
+        assert getattr(context.stats, work_counter) == 0
         assert context.stats.claim_waits == 1
         assert context.stats.claim_dedup == 1
-        assert result.cycles == produced.cycles
+        assert pickle.dumps(result) == pickle.dumps(produced)
 
     def test_dead_holder_is_taken_over(self, tmp_path):
         context = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))

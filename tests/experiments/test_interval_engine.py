@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ResultCache, transient_key
 from repro.experiments.context import (
     CONFIG_STACKS,
     ExperimentContext,
@@ -16,8 +16,9 @@ from repro.experiments.interval import (
     extract_interval_trace,
     run_interval,
 )
+from repro.experiments.leakage import run_leakage_feedback
 from repro.power.model import StackKind
-from repro.thermal.solver import clear_factorization_cache
+from repro.thermal.solver import FACTORIZATION_STATS, clear_factorization_cache
 from repro.thermal.transient import STEP_FACTORIZATION_STATS, step_matrix_key
 
 SETTINGS = ExperimentSettings(
@@ -165,3 +166,62 @@ class TestPoolIdentity:
         ])
         assert ctx.stats.transient_worker_groups == 0
         assert ctx.stats.transient_groups == 2
+
+
+class TestWarmRerun:
+    def test_warm_interval_and_leakage_do_no_thermal_work(self, tmp_path):
+        """A filled cache serves every transient run and leakage fixed
+        point: no stepping and no factorization, steady or step matrix."""
+        kwargs = dict(interval_insts=INTERVAL, dt_s=DT, duration_s=DURATION)
+        cold = ExperimentContext(SETTINGS, jobs=1, cache=ResultCache(tmp_path))
+        cold_interval = run_interval(cold, **kwargs)
+        cold_leakage = run_leakage_feedback(cold)
+        assert cold.stats.transient_steps > 0
+
+        clear_factorization_cache()  # also drops the step-matrix LRU
+        warm = ExperimentContext(SETTINGS, jobs=1, cache=ResultCache(tmp_path))
+        warm_interval = run_interval(warm, **kwargs)
+        warm_leakage = run_leakage_feedback(warm)
+        assert warm.stats.transient_steps == 0
+        assert FACTORIZATION_STATS.factorizations == 0
+        assert STEP_FACTORIZATION_STATS.factorizations == 0
+        assert warm_interval.rows == cold_interval.rows
+        assert warm_interval.format() == cold_interval.format()
+        assert warm_leakage.outcomes == cold_leakage.outcomes
+
+
+class TestTransientKey:
+    @pytest.fixture(scope="class")
+    def traces(self, context):
+        return [extract_interval_trace(context, "mpeg2", label, INTERVAL)
+                for label in ("Base", "TH")]
+
+    def _key(self, context, trace, *, dt_s=DT, duration_s=DURATION,
+             initial_k=None, **schedule):
+        params = dict(pass_s=0.5, ceiling_k=350.0, throttle_factor=0.5,
+                      hysteresis_k=2.0)
+        params.update(schedule)
+        return transient_key(
+            IntervalPowerSchedule(trace, **params).cache_key(),
+            context.solver(StackKind.PLANAR_2D), dt_s, duration_s, initial_k,
+        )
+
+    def test_equal_inputs_give_equal_keys(self, context, traces):
+        assert self._key(context, traces[0]) == self._key(context, traces[0])
+
+    @pytest.mark.parametrize("change", [
+        {"ceiling_k": 351.0},
+        {"throttle_factor": 0.6},
+        {"hysteresis_k": 3.0},
+        {"pass_s": 0.25},
+        {"dt_s": DT / 2},
+        {"duration_s": 2 * DURATION},
+        {"initial_k": 330.0},
+    ], ids=lambda change: next(iter(change)))
+    def test_every_input_changes_the_key(self, context, traces, change):
+        assert self._key(context, traces[0], **change) != \
+            self._key(context, traces[0])
+
+    def test_interval_trace_changes_the_key(self, context, traces):
+        assert traces[0].key != traces[1].key
+        assert self._key(context, traces[1]) != self._key(context, traces[0])

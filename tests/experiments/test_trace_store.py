@@ -221,13 +221,13 @@ class TestWorkerTransport:
     def test_vanished_trace_file_degrades_to_regeneration(self, tmp_path):
         """A worker whose trace file disappeared regenerates and still
         produces the right result."""
-        from repro.experiments.context import _simulate_task
+        from repro.experiments.supervised import simulate_runs
 
         context = ExperimentContext(TINY, jobs=1, cache=ResultCache(tmp_path))
         config = context._config_for("Base")
-        result = _simulate_task(
-            "adpcm", config, TINY.trace_length, TINY.warmup,
-            trace_file=str(tmp_path / "missing.npy"),
+        (result,) = simulate_runs(
+            "adpcm", TINY.trace_length, TINY.warmup,
+            str(tmp_path / "missing.npy"), [config],
         )
         reference = ExperimentContext(TINY, jobs=1, cache=None).run(
             "adpcm", "Base"
