@@ -240,11 +240,14 @@ def leakage_key(dynamic_key: str, leak_key: str, reference_k: float,
                 efold_k: float) -> str:
     """Content hash identifying one leakage-feedback fixed point: the
     :func:`thermal_key` of its dynamic and of its reference leakage grids
-    (each already covering the geometry), plus the leakage model's
-    reference and e-folding temperatures."""
+    (each already covering the geometry), the feedback loop's version,
+    and the leakage model's reference and e-folding temperatures."""
+    from repro.thermal.feedback import FEEDBACK_VERSION
+
     return _digest({
         "schema": CACHE_SCHEMA_VERSION,
         "kind": "leakage",
+        "feedback": FEEDBACK_VERSION,
         "dynamic": dynamic_key,
         "leakage": leak_key,
         "reference_k": float(reference_k),

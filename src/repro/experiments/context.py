@@ -15,7 +15,7 @@ evaluations cheap:
   CLI/benchmark/report runs hit disk instead of recomputing, and
   concurrent processes share work through claim files;
 * a **parallel dispatcher** that fans pending work, grouped by what it
-  shares (a trace, a factorization), out across a
+  shares (a factorization, a step matrix), out across a
   :class:`ProcessPoolExecutor` (``jobs`` argument, ``REPRO_JOBS``
   environment variable, default ``os.cpu_count()``).  Every job is
   deterministic, so the parallel path produces results identical to the
@@ -405,18 +405,25 @@ def _cells(solver: ThermalSolver) -> int:
     return len(solver.stack.layers) * solver.ny * solver.nx
 
 
+def _oversized(ctx, solver: ThermalSolver) -> bool:
+    """Whether a steady solve on ``solver`` must run crash-isolated."""
+    return (ctx.thermal_subproc_cells is not None
+            and _cells(solver) >= ctx.thermal_subproc_cells)
+
+
 @dataclass(frozen=True)
 class _JobKind:
     """One kind of work the engine resolves (:meth:`ExperimentContext._resolve`).
 
     Four parts define a kind: ``key(ctx, spec)`` is one job's content
     key (``None``: computed but never stored); ``group(ctx, spec)`` keys
-    the jobs that share one worker call (a trace, a factorization, a
-    step matrix); ``task(ctx, specs, inline)`` is a worker function of
-    :mod:`repro.experiments.supervised` plus its pure inputs for one
-    group (it returns one result per job; ``inline`` lets a trace stay
-    in memory); and ``result_type`` is what ``cache.load`` must find
-    under a key.  The rest is bookkeeping and the pool rule's inputs.
+    the jobs that share one worker call (a factorization, a step matrix;
+    every simulation is its own group); ``task(ctx, specs, inline)`` is
+    a worker function of :mod:`repro.experiments.supervised` plus its
+    pure inputs for one group (it returns one result per job; ``inline``
+    lets a trace stay in memory); and ``result_type`` is what
+    ``cache.load`` must find under a key.  The rest is bookkeeping and
+    the pool rule's inputs.
     """
 
     #: ``ContextStats.stage_seconds`` bucket its work is timed under, and
@@ -428,48 +435,63 @@ class _JobKind:
     task: Callable
     #: ``(ctx, specs) -> dict``: a group's detail in events
     describe: Callable
-    #: ``(ctx, jobs, worker_stats, oversized)``: counts one computed
-    #: group (``worker_stats`` is None when it ran in this process)
-    account: Callable = lambda ctx, jobs, worker_stats, oversized: None
-    #: ``ContextStats`` counter of disk hits
-    hits: Optional[str] = None
-    #: fault point pool workers run at task entry
-    fault_point: Callable = faults.maybe_inject_thermal_fault
-    #: context attribute holding the per-task deadline
-    timeout: str = "thermal_timeout_s"
-    #: groups a dispatch needs to pool (None: the context's
-    #: ``thermal_parallel_min_groups``)
-    min_groups: Optional[int] = None
+    #: ``(ctx, jobs, where, worker_stats)``: counts jobs served from
+    #: ``"disk"``, or one group computed ``"inline"`` or on a ``"worker"``
+    #: (``worker_stats``: that task's factorization-LRU delta)
+    account: Callable = lambda ctx, jobs, where, worker_stats: None
+    #: simulations take the worker fault point and ``task_timeout_s`` and
+    #: pool from two pending jobs; thermal-side kinds take the thermal
+    #: fault point and ``thermal_timeout_s`` and pool from
+    #: ``thermal_parallel_min_groups`` groups
+    simulation: bool = False
     #: ``(specs) -> bool``: whether a group's inputs pickle
     poolable: Callable = lambda specs: True
     #: ``(ctx, specs) -> bool``: whether a group must run crash-isolated
     oversized: Callable = lambda ctx, specs: False
 
 
-def _count_simulations(ctx, jobs, worker_stats, oversized) -> None:
-    ctx.stats.simulated += len(jobs)
-    ctx.stats.instructions_simulated += len(jobs) * ctx.settings.trace_length
+def _count_simulations(ctx, jobs, where, worker_stats) -> None:
+    if where == "disk":
+        ctx.stats.disk_hits += len(jobs)
+    else:
+        ctx.stats.simulated += len(jobs)
+        ctx.stats.instructions_simulated += (
+            len(jobs) * ctx.settings.trace_length
+        )
 
 
-def _count_steady(ctx, jobs, worker_stats, oversized) -> None:
+def _count_steady(ctx, jobs, where, worker_stats) -> None:
     stats = ctx.stats
+    if where == "disk":
+        stats.thermal_disk_hits += len(jobs)
+        return
     stats.thermal_groups += 1
     stats.thermal_solved += sum(len(job.targets) for job in jobs)
-    if worker_stats is not None:
+    oversized = _oversized(ctx, jobs[0].spec[0])
+    if where == "worker":
         stats.thermal_worker_groups += 1
         stats.thermal_worker_factorizations += worker_stats["factorizations"]
         stats.thermal_subproc_solves += oversized
+    elif oversized:  # the supervised attempt failed; solved in-process
+        stats.thermal_subproc_fallbacks += 1
+        stats.record_event("thermal_subproc_fallback", batches=len(jobs))
+        warnings.warn(
+            f"supervised thermal solve failed; solved {len(jobs)} "
+            f"batch(es) in-process", RuntimeWarning, stacklevel=2,
+        )
 
 
 def _steps(req: "TransientRequest") -> int:
     return max(1, int(round(req.duration_s / req.dt_s)))
 
 
-def _count_transient(ctx, jobs, worker_stats, oversized) -> None:
+def _count_transient(ctx, jobs, where, worker_stats) -> None:
+    if where == "disk":
+        return
     stats = ctx.stats
     stats.transient_groups += 1
     stats.transient_steps += _steps(jobs[0].spec) * len(jobs)
-    if worker_stats is not None:
+    if where == "worker":
         stats.transient_worker_groups += 1
         stats.transient_worker_factorizations += (
             worker_stats["step_factorizations"]
@@ -493,27 +515,22 @@ def _leakage_key(ctx, spec) -> str:
                        DEFAULT_EFOLD_K)
 
 
-#: (benchmark, config) -> SimulationResult, one worker call per trace.
+#: (benchmark, config) -> SimulationResult, one worker call each.
 _SIMULATIONS = _JobKind(
     stage="simulate", result_type=SimulationResult,
     key=lambda ctx, spec: ctx._cache_key(*spec),
-    group=lambda ctx, spec: spec[0],
+    group=lambda ctx, spec: spec,
     task=lambda ctx, specs, inline: (supervised.simulate_runs, (
         specs[0][0], ctx.settings.trace_length, ctx.settings.warmup,
-        ctx._trace_input(specs[0][0], inline),
+        ctx._trace_for_simulation(specs[0][0]) if inline
+        else ctx._trace_file(specs[0][0]),
         [config for _, config in specs],
     )),
     describe=lambda ctx, specs: {
-        "benchmark": specs[0][0],
-        "configs": [config.name for _, config in specs],
+        "benchmark": specs[0][0], "config": specs[0][1].name,
     },
     account=_count_simulations,
-    hits="disk_hits",
-    fault_point=faults.maybe_inject_worker_fault,
-    timeout="task_timeout_s",
-    # No parent-side factorization to forfeit: a second trace already
-    # pays for the pool.
-    min_groups=2,
+    simulation=True,
 )
 
 #: (solver, per-die grids) -> ThermalResult, one worker call per
@@ -531,11 +548,7 @@ _STEADY = _JobKind(
         "cells": _cells(specs[0][0]),
     },
     account=_count_steady,
-    hits="thermal_disk_hits",
-    oversized=lambda ctx, specs: (
-        ctx.thermal_subproc_cells is not None
-        and _cells(specs[0][0]) >= ctx.thermal_subproc_cells
-    ),
+    oversized=lambda ctx, specs: _oversized(ctx, specs[0][0]),
 )
 
 #: TransientRequest -> (TransientResult, schedule stats), one worker call
@@ -691,22 +704,24 @@ class ExperimentContext:
         self._compiled[benchmark] = compiled
         return compiled
 
-    def _trace_input(self, benchmark: str, inline: bool):
-        """What a simulation group replays.
-
-        Inline, the compiled trace when the columnar path is on (shared
-        pre-decode across configs), the object trace otherwise.  For a
-        pool worker, the on-disk compiled trace it should map, or
-        ``None`` (store disabled/unusable, trace uncompilable, columnar
-        path off) — the worker then regenerates the trace itself.
-        """
+    def _trace_for_simulation(self, benchmark: str):
+        """What in-process :func:`simulate` calls should replay: the
+        compiled trace when the columnar path is on (shared pre-decode
+        across configs), the object trace otherwise."""
         if columnar_enabled():
             compiled = self._compiled_for(benchmark)
-            if not inline:
-                return self._trace_files.get(benchmark)
             if compiled is not None:
                 return compiled
-        return self.trace(benchmark) if inline else None
+        return self.trace(benchmark)
+
+    def _trace_file(self, benchmark: str) -> Optional[str]:
+        """The on-disk compiled trace workers should map, or ``None``
+        (store disabled/unusable, or trace uncompilable) — in which case
+        workers regenerate the trace themselves."""
+        if not columnar_enabled():
+            return None
+        self._compiled_for(benchmark)
+        return self._trace_files.get(benchmark)
 
     def _config_for(self, config_label: str) -> CPUConfig:
         config = self.configs.get(config_label)
@@ -807,19 +822,16 @@ class ExperimentContext:
         cache = self.cache
         for index, spec in enumerate(specs):
             key = kind.key(self, spec)
-            job = jobs.get(key)
-            if job is not None:  # duplicate within this call
-                job.targets.append(index)
+            if key in jobs:  # duplicate within this call
+                jobs[key].targets.append(index)
                 continue
+            job = _Job(spec, key, [index])
             if key is not None and cache is not None:
                 cached = cache.load(key, kind.result_type)
                 if cached is not None:
-                    if kind.hits is not None:
-                        setattr(self.stats, kind.hits,
-                                getattr(self.stats, kind.hits) + 1)
+                    kind.account(self, [job], "disk", None)
                     out[index] = cached
                     continue
-            job = _Job(spec, key, [index])
             if key is not None:
                 jobs[key] = job
                 if cache is not None:
@@ -923,36 +935,40 @@ class ExperimentContext:
                   groups: List[List[_Job]]) -> List[List]:
         """Run groups inline or across the worker pool.
 
-        The one pool rule: the pool engages when ``jobs > 1``, at least
-        the kind's ``min_groups`` groups are pending, and every group's
-        inputs pickle — below that the parent runs them inline, where
-        thermal work keeps sharing the parent's factorization LRU.  An
-        oversized steady group (``REPRO_THERMAL_SUBPROC_CELLS``) forces
-        the pool even for a single group on a single-job context: crash
-        isolation is the point, so it gets one attempt, then an
+        The one pool rule: the pool engages when ``jobs > 1``, enough
+        groups are pending (two simulations, or
+        ``thermal_parallel_min_groups`` thermal-side groups), and every
+        group's inputs pickle — below that the parent runs them inline,
+        where thermal work keeps sharing the parent's factorization LRU.
+        An oversized steady group (``REPRO_THERMAL_SUBPROC_CELLS``)
+        forces the pool even for a single group on a single-job context:
+        crash isolation is the point, so it gets one attempt, then an
         in-process fallback with a warning — not the retry ladder.
         Worker-side counters come back with each result and are folded
         into :class:`ContextStats` here.
         """
         specs = [[job.spec for job in members] for members in groups]
         oversized = [kind.oversized(self, group) for group in specs]
+        sim = kind.simulation
         use_pool = any(oversized) or (
             self.jobs > 1
-            and len(groups) >= (kind.min_groups
-                                or self.thermal_parallel_min_groups)
+            and len(groups) >= (2 if sim else self.thermal_parallel_min_groups)
             and all(kind.poolable(group) for group in specs)
         )
         self.stats.begin_batch()
         try:
             if use_pool:
+                fault_point = (faults.maybe_inject_worker_fault if sim
+                               else faults.maybe_inject_thermal_fault)
                 tasks = []
                 for group, big in zip(specs, oversized):
                     fn, args = kind.task(self, group, inline=False)
                     tasks.append(_PoolTask(
-                        args=(kind.fault_point, fn, args),
+                        args=(fault_point, fn, args),
                         serial=lambda g=group: (self._run_inline(kind, g), None),
                         detail=kind.describe(self, group),
-                        timeout_s=getattr(self, kind.timeout),
+                        timeout_s=(self.task_timeout_s if sim
+                                   else self.thermal_timeout_s),
                         max_attempts=1 if big else self.max_task_attempts,
                     ))
                 outs = self._run_pool_tasks(tasks, kind.stage)
@@ -963,22 +979,13 @@ class ExperimentContext:
                     t0 = time.perf_counter()
                     outs.append((self._run_inline(kind, group), None))
                     seconds.append(round(time.perf_counter() - t0, 3))
-            for members, group, big, (_, worker_stats), secs in zip(
-                    groups, specs, oversized, outs, seconds):
-                kind.account(self, members, worker_stats, big)
-                if big and worker_stats is None:
-                    self.stats.thermal_subproc_fallbacks += 1
-                    self.stats.record_event("thermal_subproc_fallback",
-                                            batches=len(group))
-                    warnings.warn(
-                        f"supervised thermal solve failed; solved "
-                        f"{len(group)} batch(es) in-process",
-                        RuntimeWarning, stacklevel=3,
-                    )
+            for members, group, (_, worker_stats), secs in zip(
+                    groups, specs, outs, seconds):
+                where = "inline" if worker_stats is None else "worker"
+                kind.account(self, members, where, worker_stats)
                 self.stats.record_event(
                     f"{kind.stage}_group", **kind.describe(self, group),
-                    where="inline" if worker_stats is None else "worker",
-                    seconds=secs,
+                    where=where, seconds=secs,
                 )
             return [results for results, _ in outs]
         finally:

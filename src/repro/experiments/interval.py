@@ -59,6 +59,11 @@ from repro.thermal.transient import PowerSchedule
 #: Default interval granularity (instructions per bucket).
 DEFAULT_INTERVAL_INSTS = 2_000
 
+#: Bump on any change to how :class:`IntervalPowerSchedule` turns its
+#: trace into per-step power (interval lookup, throttling governor):
+#: persisted transient runs it drives fold it into their cache keys.
+GOVERNOR_VERSION = 1
+
 
 @dataclass
 class IntervalPowerTrace:
@@ -79,9 +84,8 @@ class IntervalPowerTrace:
     chip_watts: np.ndarray
     die_grids: List[List[np.ndarray]]
     #: the trace's :func:`~repro.experiments.cache.interval_trace_key`
-    #: (transient runs replaying it are keyed on it); None for traces
-    #: assembled outside :func:`extract_interval_trace`
-    key: Optional[str] = None
+    #: (transient runs replaying it are keyed on it)
+    key: str
 
     def __len__(self) -> int:
         return len(self.die_grids)
@@ -230,11 +234,10 @@ class IntervalPowerSchedule(PowerSchedule):
                 return [g * self.throttle_factor for g in grids]
         return grids
 
-    def cache_key(self) -> Optional[dict]:
-        if self.trace.key is None:
-            return None
+    def cache_key(self) -> dict:
         return {
             "schedule": "interval",
+            "governor": GOVERNOR_VERSION,
             "trace": self.trace.key,
             "pass_s": self.pass_s,
             "ceiling_k": self.ceiling_k,

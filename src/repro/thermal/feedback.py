@@ -25,6 +25,11 @@ from repro.thermal.solver import ThermalResult, ThermalSolver
 #: Leakage e-folding temperature (K): doubles every ~24 K.
 DEFAULT_EFOLD_K = 35.0
 
+#: Bump on any change to what :func:`solve_with_leakage_feedback`
+#: computes (iteration limit, tolerance, damping, clamps): persisted
+#: leakage-feedback outcomes fold it into their cache keys.
+FEEDBACK_VERSION = 1
+
 
 #: Exponent clamp: leakage scaling saturates at e^3 ~ 20x per cell.
 _MAX_EXPONENT = 3.0

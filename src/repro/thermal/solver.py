@@ -36,8 +36,9 @@ from scipy.sparse.linalg import factorized, splu
 from repro.floorplan.geometry import Floorplan
 from repro.thermal.stack import ThermalStack
 
-#: Bump when the discretization or boundary conditions change; part of
-#: every persistent thermal-result cache key.
+#: Bump when the discretization or boundary conditions change, or the
+#: transient integration (:mod:`repro.thermal.transient`) does; part of
+#: every persistent steady and transient thermal-result cache key.
 THERMAL_MODEL_VERSION = 1
 
 #: Conductivity of the filler outside the chip region (underfill/air mix).

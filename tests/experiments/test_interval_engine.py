@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.experiments.cache import ResultCache, transient_key
+from repro.experiments.cache import (
+    ResultCache,
+    interval_trace_key,
+    leakage_key,
+    transient_key,
+)
 from repro.experiments.context import (
     CONFIG_STACKS,
     ExperimentContext,
@@ -225,3 +230,28 @@ class TestTransientKey:
     def test_interval_trace_changes_the_key(self, context, traces):
         assert traces[0].key != traces[1].key
         assert self._key(context, traces[1]) != self._key(context, traces[0])
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.experiments.interval", "GOVERNOR_VERSION"),
+        ("repro.thermal.solver", "THERMAL_MODEL_VERSION"),
+    ])
+    def test_code_versions_change_the_key(self, context, traces, monkeypatch,
+                                          module, name):
+        before = self._key(context, traces[0])
+        monkeypatch.setattr(f"{module}.{name}", 99)
+        assert self._key(context, traces[0]) != before
+
+    def test_power_model_version_changes_interval_trace_key(self, context,
+                                                            monkeypatch):
+        def key():
+            return interval_trace_key("sim", INTERVAL, 1.0, 2,
+                                      context.solver(StackKind.PLANAR_2D))
+
+        before = key()
+        monkeypatch.setattr("repro.power.model.POWER_MODEL_VERSION", 99)
+        assert key() != before
+
+    def test_feedback_version_changes_leakage_key(self, monkeypatch):
+        before = leakage_key("dyn", "leak", 350.0, 35.0)
+        monkeypatch.setattr("repro.thermal.feedback.FEEDBACK_VERSION", 99)
+        assert leakage_key("dyn", "leak", 350.0, 35.0) != before
