@@ -80,9 +80,7 @@ def _same(a, b) -> bool:
 def run(out_path: str, jobs: int) -> dict:
     solvers = _geometry_set()
     groups = [(solver, [_grids(solver)]) for solver in solvers]
-    cells = [
-        len(solver.stack.layers) * solver.ny * solver.nx for solver in solvers
-    ]
+    cells = [solver.unknowns for solver in solvers]
 
     clear_factorization_cache()
     t0 = time.perf_counter()

@@ -400,15 +400,10 @@ class _Job:
     claimed: bool = False
 
 
-def _cells(solver: ThermalSolver) -> int:
-    """Unknown count of one geometry's linear system."""
-    return len(solver.stack.layers) * solver.ny * solver.nx
-
-
 def _oversized(ctx, solver: ThermalSolver) -> bool:
     """Whether a steady solve on ``solver`` must run crash-isolated."""
     return (ctx.thermal_subproc_cells is not None
-            and _cells(solver) >= ctx.thermal_subproc_cells)
+            and solver.unknowns >= ctx.thermal_subproc_cells)
 
 
 @dataclass(frozen=True)
@@ -545,7 +540,7 @@ _STEADY = _JobKind(
     describe=lambda ctx, specs: {
         "geometry": specs[0][0].geometry_id(),
         "batches": len(specs),
-        "cells": _cells(specs[0][0]),
+        "cells": specs[0][0].unknowns,
     },
     account=_count_steady,
     oversized=lambda ctx, specs: _oversized(ctx, specs[0][0]),

@@ -34,6 +34,7 @@ re-simulates and re-steps nothing.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, field
@@ -205,7 +206,7 @@ class IntervalPowerSchedule(PowerSchedule):
         if total <= 0:
             weights = np.ones(len(trace.die_grids))
             total = float(len(trace.die_grids))
-        self._cum = np.cumsum(weights / total) * self.pass_s
+        self._cum = (np.cumsum(weights / total) * self.pass_s).tolist()
         self._engaged = False
         self.steps_total = 0
         self.steps_throttled = 0
@@ -213,7 +214,7 @@ class IntervalPowerSchedule(PowerSchedule):
     def interval_at(self, t_s: float) -> int:
         """Index of the interval active at wall-clock ``t_s``."""
         pos = math.fmod(t_s, self.pass_s)
-        j = int(np.searchsorted(self._cum, pos, side="right"))
+        j = bisect.bisect_right(self._cum, pos)
         return min(j, len(self._cum) - 1)
 
     def power_grids(self, t_s: float, prev_peak_k: float) -> Sequence[np.ndarray]:

@@ -108,12 +108,7 @@ def solve_with_leakage_feedback(
         # the die layer over the chip window), damped 50 % in log space
         # for stable convergence near the runaway boundary.
         for die, grid in enumerate(leakage_grids):
-            layer = result.die_layers[die]
-            temps = result.layer_temps[layer]
-            window = temps[
-                solver._chip_y0:solver._chip_y0 + solver._chip_ny,
-                solver._chip_x0:solver._chip_x0 + solver._chip_nx,
-            ]
+            window = result.die_window(die)
             exponent = np.clip((window - reference_k) / efold_k, -5.0, _MAX_EXPONENT)
             target = np.asarray(grid) * np.exp(exponent)
             scaled[die] = np.sqrt(scaled[die] * target + 1e-300)

@@ -1,25 +1,30 @@
 """Finite-volume steady-state 3D heat conduction solver.
 
 The grid covers the *heat spreader* footprint (larger than the chip, as
-in HotSpot); the TIM and die layers exist only over the centred chip
-region — cells outside it are filled with a near-insulating material so
-lateral spreading happens in the copper spreader, not in thin silicon.
+in HotSpot's grid mode).  The copper spreader (layer 0) is discretized
+over the whole (ny, nx) footprint; every other layer (TIM, dies, bonds,
+package) exists only over the centred chip window, and only cells that
+exist are unknowns.  The space around the chip is adiabatic, so lateral
+spreading happens in the spreader, not in thin silicon.
 
-Every layer is discretized into the same (ny, nx) grid.  Lateral
-conduction uses harmonic-mean conductances between neighbouring cells;
-vertical conduction couples vertically adjacent cells of neighbouring
-layers through the series resistance of the two half-layers.  The top of
-the spreader is coupled to ambient through the sink's convection
-resistance; all other outer faces are adiabatic.
+Unknowns are numbered spreader first (row-major over the footprint),
+then each lower layer's window (row-major), layer by layer; see
+:meth:`ThermalSolver.layer_cells`.  Lateral conduction couples
+neighbouring cells of one layer; vertical conduction couples vertically
+adjacent cells of neighbouring layers, wherever both exist, through the
+series resistance of the two half-layers.  The top of the spreader is
+coupled to ambient through the sink's convection resistance; all other
+outer faces are adiabatic.  Results are expanded back to per-layer
+(ny, nx) grids, where a chip layer reports the spreader temperature of
+its column outside the window.
 
 The system matrix depends only on geometry, so it is LU-factorized once
 per *geometry* and shared process-wide: solvers with identical stacks,
 floorplan footprints, and grid resolutions (DVFS sweeps, stacking-order
 ablations, transient runs, repeated contexts) reuse one factorization
-instead of paying SuperLU per instance.  Assembly itself is vectorized —
-whole-layer conductance arrays emitted as concatenated COO triplets —
-with the original cell-by-cell loop kept as ``_build_reference`` for the
-equivalence test.
+instead of paying SuperLU per instance.  Assembly is vectorized: one
+conductance per layer and axis, broadcast over the layer's cells and
+emitted as concatenated COO triplets.
 """
 
 from __future__ import annotations
@@ -39,10 +44,8 @@ from repro.thermal.stack import ThermalStack
 #: Bump when the discretization or boundary conditions change, or the
 #: transient integration (:mod:`repro.thermal.transient`) does; part of
 #: every persistent steady and transient thermal-result cache key.
-THERMAL_MODEL_VERSION = 1
+THERMAL_MODEL_VERSION = 2
 
-#: Conductivity of the filler outside the chip region (underfill/air mix).
-_FILLER_K = 0.05
 #: Default spreader side (mm); HotSpot's default spreader is 30 mm.
 DEFAULT_SPREADER_MM = 24.0
 
@@ -117,19 +120,25 @@ class ThermalResult:
     block_peak: Dict[Tuple[str, int], float]
     #: per-(block, die) mean temperature, K
     block_mean: Dict[Tuple[str, int], float]
+    #: (rows, columns) slices of the chip window within each layer grid
+    chip_window: Tuple[slice, slice]
 
     @property
     def peak_temperature(self) -> float:
-        """Hottest cell across the die layers."""
-        return max(float(self.layer_temps[l].max()) for l in self.die_layers.values())
+        """Hottest chip-window cell across the die layers."""
+        return max(self.die_peak(die) for die in self.die_layers)
 
     def hottest_block(self) -> Tuple[str, int, float]:
         """(name, die, K) of the hottest block."""
         (name, die), temp = max(self.block_peak.items(), key=lambda kv: kv[1])
         return name, die, temp
 
+    def die_window(self, die: int) -> np.ndarray:
+        """One die's temperatures over the chip window, (ny, nx) chip cells."""
+        return self.layer_temps[self.die_layers[die]][self.chip_window]
+
     def die_peak(self, die: int) -> float:
-        return float(self.layer_temps[self.die_layers[die]].max())
+        return float(self.die_window(die).max())
 
     def format_hotspots(self, top: int = 8) -> str:
         """The hottest blocks, one per line."""
@@ -169,8 +178,8 @@ class ThermalSolver:
         self.chip_y0_mm = (self.spreader_h_mm - floorplan.height_mm) / 2.0
         self._solve_fn: Optional[Callable] = None
         self._conv_per_cell: Optional[float] = None
-        # Chip cell window within the spreader grid (shared by the
-        # material mask and the power-map embedding).
+        # Chip cell window within the spreader grid: where every layer
+        # below the spreader has cells, and where power maps land.
         dx = self.spreader_w_mm / nx
         dy = self.spreader_h_mm / ny
         self._chip_x0 = int(round(self.chip_x0_mm / dx))
@@ -179,12 +188,40 @@ class ThermalSolver:
         self._chip_ny = max(2, int(round(floorplan.height_mm / dy)))
         self._chip_nx = min(self._chip_nx, nx - self._chip_x0)
         self._chip_ny = min(self._chip_ny, ny - self._chip_y0)
+        #: (rows, columns) of the chip window within the spreader grid
+        self._window = (
+            slice(self._chip_y0, self._chip_y0 + self._chip_ny),
+            slice(self._chip_x0, self._chip_x0 + self._chip_nx),
+        )
+        #: per layer, the unknown index of each of its cells: the whole
+        #: (ny, nx) footprint for the spreader, the window for the rest
+        window_cells = self._chip_ny * self._chip_nx
+        self._layer_index: List[np.ndarray] = [np.arange(ny * nx).reshape(ny, nx)]
+        for l in range(1, len(stack.layers)):
+            start = ny * nx + (l - 1) * window_cells
+            self._layer_index.append(
+                np.arange(start, start + window_cells).reshape(
+                    self._chip_ny, self._chip_nx))
         #: layer index of each power die (geometry is immutable per solver)
         self._die_layer_map: Dict[int, int] = {
             layer.power_die: l
             for l, layer in enumerate(stack.layers)
             if layer.power_die is not None
         }
+
+    @property
+    def unknowns(self) -> int:
+        """Size of the linear system: the spreader footprint plus one
+        chip window per lower layer."""
+        window_cells = self._chip_ny * self._chip_nx
+        return self.ny * self.nx + (len(self.stack.layers) - 1) * window_cells
+
+    def layer_cells(self, layer: int) -> slice:
+        """The unknowns of a layer below the spreader (``layer >= 1``):
+        its chip window, row-major, as one contiguous slice."""
+        index = self._layer_index[layer]
+        start = int(index.flat[0])
+        return slice(start, start + index.size)
 
     # ------------------------------------------------------------------ #
 
@@ -227,18 +264,6 @@ class ThermalSolver:
 
     # ------------------------------------------------------------------ #
 
-    def _cell_k(self, layer_index: int) -> np.ndarray:
-        """Per-cell conductivity map for one layer."""
-        layer = self.stack.layers[layer_index]
-        k = np.full((self.ny, self.nx), layer.material.conductivity_w_mk)
-        if layer_index == 0:
-            return k  # the spreader spans the full footprint
-        outside = np.ones((self.ny, self.nx), dtype=bool)
-        outside[self._chip_y0:self._chip_y0 + self._chip_ny,
-                self._chip_x0:self._chip_x0 + self._chip_nx] = False
-        k[outside] = _FILLER_K
-        return k
-
     def _build(self) -> None:
         """Bind this solver to the (possibly shared) factorized system."""
         key = self.matrix_key()
@@ -259,153 +284,92 @@ class ThermalSolver:
         self._conv_per_cell = entry.conv_per_cell
 
     def _assemble(self) -> Tuple[csc_matrix, float]:
-        """Vectorized conductance-matrix assembly.
+        """Vectorized conductance-matrix assembly over the model cells.
 
-        Harmonic-mean lateral conductances and vertical series
-        resistances are computed as whole-layer (ny, nx) arrays and
-        emitted as concatenated COO index/value arrays.  The diagonal is
-        accumulated in the same per-cell order as the reference loop
-        assembler, so the result is bit-identical to
-        :meth:`_build_reference`.
+        Every layer is one uniform material, so each layer has one
+        lateral conductance per axis and each pair of adjacent layers
+        one vertical conductance; they are broadcast over the layer's
+        cells and emitted as concatenated COO index/value arrays.  Only
+        couplings whose two ends are model cells exist: the spreader
+        couples down only over the chip window.  The diagonal is
+        accumulated per cell in the order a row-major per-cell loop
+        assembler visits the couplings (vertical-from-above, y-up,
+        x-left, x-right, y-down, vertical-to-below, then the spreader's
+        convection term), so the two agree bit for bit.
         """
         nx, ny = self.nx, self.ny
         layers = self.stack.layers
         nl = len(layers)
-        n = nl * ny * nx
         dx = self.spreader_w_mm * 1e-3 / nx
         dy = self.spreader_h_mm * 1e-3 / ny
         cell_area = dx * dy
         spreader_area = self.spreader_w_mm * self.spreader_h_mm * 1e-6
+        window = self._window
 
-        k = np.stack([self._cell_k(l) for l in range(nl)])  # (nl, ny, nx)
-        idx = np.arange(n).reshape(nl, ny, nx)
+        k = np.array([layer.material.conductivity_w_mk for layer in layers])
         thickness = np.array([layer.thickness_m for layer in layers])
-
-        # Harmonic-mean lateral conductances between x/y neighbours.
-        kl, kr = k[:, :, :-1], k[:, :, 1:]
-        g_x = 2.0 * kl * kr / (kl + kr) * (thickness[:, None, None] * dy) / dx
-        ku, kd = k[:, :-1, :], k[:, 1:, :]
-        g_y = 2.0 * ku * kd / (ku + kd) * (thickness[:, None, None] * dx) / dy
-
+        g_x = k * (thickness * dy) / dx
+        g_y = k * (thickness * dx) / dy
         # Series resistance of the two half-layers between vertical
         # neighbours, over the cell footprint.
-        half = thickness[:, None, None] / (2.0 * k)
-        g_v = 1.0 / ((half[:-1] + half[1:]) / cell_area)  # (nl-1, ny, nx)
+        half = thickness / (2.0 * k)
+        g_v = 1.0 / ((half[:-1] + half[1:]) / cell_area)
 
         conv_total = 1.0 / self.stack.convection_k_per_w
         conv_per_cell = conv_total * (cell_area / spreader_area)
 
-        # Diagonal accumulation mirrors the reference loop's per-cell
-        # order: vertical-from-above, y-up, x-left, x-right, y-down,
-        # vertical-to-below, then the layer-0 convection term.
-        diag = np.zeros((nl, ny, nx))
+        rows: List[np.ndarray] = []
+        cols: List[np.ndarray] = []
+        vals: List[np.ndarray] = []
+
+        def couple(a: np.ndarray, b: np.ndarray, g: float) -> None:
+            a, b = a.ravel(), b.ravel()
+            rows.extend((a, b))
+            cols.extend((b, a))
+            vals.extend((np.full(a.size, -g),) * 2)
+
+        diags = []
         for l in range(nl):
-            diag[l, 1:, :] += g_y[l]
-            diag[l, :, 1:] += g_x[l]
-            diag[l, :, :-1] += g_x[l]
-            diag[l, :-1, :] += g_y[l]
+            idx = self._layer_index[l]
+            diag = np.zeros(idx.shape)
+            if l > 0:
+                diag += g_v[l - 1]
+            diag[1:, :] += g_y[l]
+            diag[:, 1:] += g_x[l]
+            diag[:, :-1] += g_x[l]
+            diag[:-1, :] += g_y[l]
+            couple(idx[:, :-1], idx[:, 1:], g_x[l])
+            couple(idx[:-1, :], idx[1:, :], g_y[l])
             if l + 1 < nl:
-                diag[l] += g_v[l]
-                diag[l + 1] += g_v[l]
-        diag[0] += conv_per_cell
+                # The spreader meets the next layer only over the window.
+                over = window if l == 0 else np.s_[:, :]
+                diag[over] += g_v[l]
+                couple(idx[over], self._layer_index[l + 1], g_v[l])
+            diags.append(diag.ravel())
+        diags[0] += conv_per_cell
 
-        a_x, b_x = idx[:, :, :-1].ravel(), idx[:, :, 1:].ravel()
-        a_y, b_y = idx[:, :-1, :].ravel(), idx[:, 1:, :].ravel()
-        a_v, b_v = idx[:-1].ravel(), idx[1:].ravel()
-        rows = np.concatenate([a_x, b_x, a_y, b_y, a_v, b_v, idx.ravel()])
-        cols = np.concatenate([b_x, a_x, b_y, a_y, b_v, a_v, idx.ravel()])
-        vx, vy, vv = -g_x.ravel(), -g_y.ravel(), -g_v.ravel()
-        vals = np.concatenate([vx, vx, vy, vy, vv, vv, diag.ravel()])
-        matrix = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
-        return matrix, conv_per_cell
-
-    def _build_reference(self) -> Tuple[csc_matrix, float]:
-        """The original cell-by-cell loop assembler.
-
-        Kept solely as the oracle for the loop-vs-vectorized equivalence
-        test; production code paths use :meth:`_assemble`.
-        """
-        nx, ny = self.nx, self.ny
-        layers = self.stack.layers
-        nl = len(layers)
-        n = nl * ny * nx
-        dx = self.spreader_w_mm * 1e-3 / nx
-        dy = self.spreader_h_mm * 1e-3 / ny
-        cell_area = dx * dy
-        spreader_area = self.spreader_w_mm * self.spreader_h_mm * 1e-6
-
-        def index(layer: int, j: int, i: int) -> int:
-            return (layer * ny + j) * nx + i
-
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        diag = np.zeros(n)
-
-        def couple(a: int, b: int, conductance: float) -> None:
-            rows.append(a)
-            cols.append(b)
-            vals.append(-conductance)
-            rows.append(b)
-            cols.append(a)
-            vals.append(-conductance)
-            diag[a] += conductance
-            diag[b] += conductance
-
-        k_maps = [self._cell_k(l) for l in range(nl)]
-        for l, layer in enumerate(layers):
-            t = layer.thickness_m
-            k = k_maps[l]
-            for j in range(ny):
-                for i in range(nx):
-                    a = index(l, j, i)
-                    if i + 1 < nx:
-                        k_h = 2.0 * k[j, i] * k[j, i + 1] / (k[j, i] + k[j, i + 1])
-                        couple(a, index(l, j, i + 1), k_h * (t * dy) / dx)
-                    if j + 1 < ny:
-                        k_h = 2.0 * k[j, i] * k[j + 1, i] / (k[j, i] + k[j + 1, i])
-                        couple(a, index(l, j + 1, i), k_h * (t * dx) / dy)
-            if l + 1 < nl:
-                below = layers[l + 1]
-                k_below = k_maps[l + 1]
-                for j in range(ny):
-                    for i in range(nx):
-                        r_vertical = (
-                            t / (2.0 * k[j, i])
-                            + below.thickness_m / (2.0 * k_below[j, i])
-                        ) / cell_area
-                        couple(index(l, j, i), index(l + 1, j, i), 1.0 / r_vertical)
-
-        # Convection boundary at the top of the spreader: the sink's total
-        # resistance distributed uniformly over the spreader area.
-        conv_total = 1.0 / self.stack.convection_k_per_w
-        conv_per_cell = conv_total * (cell_area / spreader_area)
-        for j in range(ny):
-            for i in range(nx):
-                diag[index(0, j, i)] += conv_per_cell
-
-        rows.extend(range(n))
-        cols.extend(range(n))
-        vals.extend(diag)
-        matrix = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+        n = self.unknowns
+        everything = np.arange(n)
+        rows.append(everything)
+        cols.append(everything)
+        vals.append(np.concatenate(diags))
+        matrix = coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n),
+        ).tocsc()
         return matrix, conv_per_cell
 
     # ------------------------------------------------------------------ #
 
-    def _embed(self, chip_grid: np.ndarray) -> np.ndarray:
-        """Place a chip-resolution power grid into the spreader grid.
-
-        ``chip_grid`` must be rasterized at :meth:`chip_grid_shape`.
-        """
-        if chip_grid.shape != (self._chip_ny, self._chip_nx):
+    def _chip_power(self, grid) -> np.ndarray:
+        """One die's chip-window power grid, shape-checked and raveled."""
+        grid = np.asarray(grid)
+        if grid.shape != (self._chip_ny, self._chip_nx):
             raise ValueError(
-                f"power grid shape {chip_grid.shape} != chip grid "
+                f"power grid shape {grid.shape} != chip grid "
                 f"({self._chip_ny}, {self._chip_nx})"
             )
-        full = np.zeros((self.ny, self.nx))
-        full[self._chip_y0:self._chip_y0 + self._chip_ny,
-             self._chip_x0:self._chip_x0 + self._chip_nx] = chip_grid
-        return full
+        return grid.ravel()
 
     def chip_grid_shape(self) -> Tuple[int, int]:
         """(ny, nx) resolution for chip-region power maps."""
@@ -415,35 +379,46 @@ class ThermalSolver:
         return dict(self._die_layer_map)
 
     def _rhs_for(self, die_power_grids: Sequence[np.ndarray]) -> np.ndarray:
-        nx, ny = self.nx, self.ny
-        layers = self.stack.layers
         if len(die_power_grids) != self.stack.die_count:
             raise ValueError(
                 f"expected {self.stack.die_count} power grids, got {len(die_power_grids)}"
             )
-        rhs = np.zeros(len(layers) * ny * nx)
+        rhs = np.zeros(self.unknowns)
         for die, l in self._die_layer_map.items():
-            full = self._embed(die_power_grids[die])
-            rhs[l * ny * nx:(l + 1) * ny * nx] += full.ravel()
-        rhs[: ny * nx] += self._conv_per_cell * self.stack.ambient_k
+            rhs[self.layer_cells(l)] += self._chip_power(die_power_grids[die])
+        rhs[: self.ny * self.nx] += self._conv_per_cell * self.stack.ambient_k
         return rhs
 
-    def _result_from(self, temps: np.ndarray) -> ThermalResult:
+    def expand(self, temps: np.ndarray) -> List[np.ndarray]:
+        """Per-layer (ny, nx) grids from one solution vector.
+
+        The spreader fills its whole grid; every other layer fills its
+        chip window, and outside it reports the spreader temperature of
+        the same column.
+        """
         nx, ny = self.nx, self.ny
-        layer_temps = [
-            temps[l * ny * nx:(l + 1) * ny * nx].reshape(ny, nx)
-            for l in range(len(self.stack.layers))
-        ]
+        spreader = temps[: ny * nx].reshape(ny, nx)
+        grids = [spreader]
+        for l in range(1, len(self.stack.layers)):
+            grid = spreader.copy()
+            grid[self._window] = temps[self.layer_cells(l)].reshape(
+                self._chip_ny, self._chip_nx)
+            grids.append(grid)
+        return grids
+
+    def _result_from(self, temps: np.ndarray) -> ThermalResult:
+        layer_temps = self.expand(temps)
         die_layers = self._die_layers()
         block_peak, block_mean = self._block_temps(layer_temps, die_layers)
         return ThermalResult(
             stack_name=self.stack.name,
-            nx=nx,
-            ny=ny,
+            nx=self.nx,
+            ny=self.ny,
             layer_temps=layer_temps,
             die_layers=die_layers,
             block_peak=block_peak,
             block_mean=block_mean,
+            chip_window=self._window,
         )
 
     def solve(self, die_power_grids: Sequence[np.ndarray]) -> ThermalResult:
@@ -469,9 +444,13 @@ class ThermalSolver:
                 for i in range(len(batches))]
 
     def _block_temps(self, layer_temps, die_layers):
+        """Per-block peak and mean over the block's cells, clipped to
+        the chip window (the only cells a die has)."""
         nx, ny = self.nx, self.ny
         dx = self.spreader_w_mm / nx
         dy = self.spreader_h_mm / ny
+        wx0, wy0 = self._chip_x0, self._chip_y0
+        wx1, wy1 = wx0 + self._chip_nx, wy0 + self._chip_ny
         block_peak: Dict[Tuple[str, int], float] = {}
         block_mean: Dict[Tuple[str, int], float] = {}
         for block in self.floorplan.blocks:
@@ -479,10 +458,10 @@ class ThermalSolver:
             r = block.rect
             bx = r.x + self.chip_x0_mm
             by = r.y + self.chip_y0_mm
-            x0 = max(0, int(bx / dx))
-            x1 = max(x0 + 1, min(nx, int(np.ceil((bx + r.w) / dx))))
-            y0 = max(0, int(by / dy))
-            y1 = max(y0 + 1, min(ny, int(np.ceil((by + r.h) / dy))))
+            x0 = min(max(wx0, int(bx / dx)), wx1 - 1)
+            x1 = max(x0 + 1, min(wx1, int(np.ceil((bx + r.w) / dx))))
+            y0 = min(max(wy0, int(by / dy)), wy1 - 1)
+            y1 = max(y0 + 1, min(wy1, int(np.ceil((by + r.h) / dy))))
             region = grid[y0:y1, x0:x1]
             key = (block.name, block.die)
             block_peak[key] = float(region.max())

@@ -16,14 +16,15 @@ the steady solver's factorization cache.
 Two integration paths share that factorization:
 
 * :meth:`TransientThermalSolver.run_many` steps K runs in lock-step with
-  an ``(n, K)`` right-hand-side matrix — SuperLU back-substitutes all
+  an ``(n, <= K)`` right-hand-side matrix — SuperLU back-substitutes all
   columns in one call, so the per-step sparse-solve overhead is paid
-  once per step instead of once per run per step.  RHS assembly is fully
-  vectorized: the per-die chip-window embed is a precomputed index
-  scatter, not a per-step :meth:`~ThermalSolver._embed` loop.
-* :meth:`TransientThermalSolver.run_reference` retains the original
-  scalar per-run loop as the ground-truth reference; the batched path is
-  pinned byte-identical to it in tests on the reference workloads.  (On
+  once per step instead of once per run per step, and runs that have
+  received identical power so far share one column.  RHS assembly is
+  fully vectorized: the RHS buffer is preallocated and each die's power
+  adds straight into its layer's rows of the unknown vector.
+* :meth:`TransientThermalSolver.run_reference` is the scalar per-run
+  loop built on the steady solver's RHS; the batched path is pinned
+  byte-identical to it in tests on the reference workloads.  (On
   very large grids SuperLU's blocked nrhs>1 kernel may reorder the
   back-substitution accumulation relative to per-column solves,
   perturbing interior temperatures at the ~1e-13 K level; the die-peak
@@ -184,58 +185,37 @@ class TransientThermalSolver:
         self._build_index_maps()
 
     def _build_index_maps(self) -> None:
-        """Precompute the embed scatter and die-peak gather index views.
+        """Precompute the power scatter and die-peak gather rows.
 
-        The scalar reference loop zero-pads each die's chip-resolution
-        power grid into the full spreader grid every step.  The batched
-        path instead scatters raveled chip grids straight into the flat
-        RHS through ``_chip_cells`` — the flat indices of every chip-window
-        cell, concatenated die by die in ``_die_layer_map`` order.
-        ``_die_cells`` gathers every cell of every die layer for the
-        per-step peak reduction.
+        ``_power_rows`` holds, per power die in ``_die_order``, the
+        unknowns of its layer's chip window, so a raveled chip grid adds
+        straight into the RHS; ``_peak_rows`` holds them once per die
+        layer for the per-step peak reduction.
         """
         steady = self.steady
-        nx, ny = steady.nx, steady.ny
-        cny, cnx = steady.chip_grid_shape()
-        x0, y0 = steady._chip_x0, steady._chip_y0
-        yy, xx = np.mgrid[0:cny, 0:cnx]
-        window = ((yy + y0) * nx + (xx + x0)).ravel()
         self._die_order = list(steady._die_layer_map.items())
-        self._chip_cells = np.concatenate(
-            [layer * ny * nx + window for _die, layer in self._die_order]
-        )
-        self._die_cells = np.concatenate(
-            [
-                layer * ny * nx + np.arange(ny * nx)
-                for layer in sorted(set(steady._die_layer_map.values()))
-            ]
-        )
-        self._chip_shape = (cny, cnx)
+        self._power_rows = [steady.layer_cells(layer) for _die, layer in self._die_order]
+        self._peak_rows = [
+            steady.layer_cells(layer)
+            for layer in sorted(set(steady._die_layer_map.values()))
+        ]
 
     def _cell_capacities(self) -> np.ndarray:
-        """Heat capacity (J/K) of every grid cell, layer by layer."""
-        nx, ny = self.steady.nx, self.steady.ny
-        dx = self.steady.spreader_w_mm * 1e-3 / nx
-        dy = self.steady.spreader_h_mm * 1e-3 / ny
+        """Heat capacity (J/K) of every unknown, in unknown order."""
+        steady = self.steady
+        dx = steady.spreader_w_mm * 1e-3 / steady.nx
+        dy = steady.spreader_h_mm * 1e-3 / steady.ny
         caps = []
-        for layer in self.steady.stack.layers:
+        for layer, index in zip(steady.stack.layers, steady._layer_index):
             volume = dx * dy * layer.thickness_m
-            caps.append(np.full(ny * nx, layer.material.heat_capacity_j_m3k * volume))
+            caps.append(np.full(index.size, layer.material.heat_capacity_j_m3k * volume))
         return np.concatenate(caps)
 
     # ------------------------------------------------------------------ #
 
-    def _stack_power(self, grids: Sequence[np.ndarray]) -> np.ndarray:
-        """Ravel per-die chip grids in ``_chip_cells`` order (validated)."""
-        parts = []
-        for die, _layer in self._die_order:
-            grid = np.asarray(grids[die])
-            if grid.shape != self._chip_shape:
-                raise ValueError(
-                    f"power grid shape {grid.shape} != chip grid {self._chip_shape}"
-                )
-            parts.append(grid.ravel())
-        return np.concatenate(parts)
+    def _die_grids(self, grids: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """One run's raveled per-die chip grids in ``_die_order``."""
+        return [self.steady._chip_power(grids[die]) for die, _ in self._die_order]
 
     def run(
         self,
@@ -248,8 +228,8 @@ class TransientThermalSolver:
         ``power_fn(t)`` returns the per-die chip power grids (at the
         steady solver's :meth:`~ThermalSolver.chip_grid_shape`) at time t.
         A :class:`PowerSchedule` is also accepted.  Delegates to the
-        batched path with K=1; :meth:`run_reference` keeps the original
-        scalar loop.
+        batched path with K=1; :meth:`run_reference` is the scalar
+        loop.
         """
         return self.run_many([power_fn], duration_s, initial_k=initial_k)[0]
 
@@ -261,14 +241,18 @@ class TransientThermalSolver:
     ) -> List[TransientResult]:
         """Step K runs in lock-step through the shared factorization.
 
-        Each step assembles one ``(n, K)`` RHS matrix — power scattered
-        through the precomputed chip-cell indices, then the convective
-        ambient term, then the ``(C/dt) * T`` history term, in
-        exactly the scalar loop's addition order — and back-substitutes
-        all K columns in a single SuperLU call.  RHS assembly is exactly
-        the scalar loop's; results match :meth:`run_reference` to within
-        the backsolve kernel's column-order rounding (byte-identical on
-        the reference workloads, pinned in tests).
+        Runs that have so far received identical power share one state
+        column: they all start from the same uniform field, and each
+        step splits a column only where its runs' power differs (a DTM
+        sweep's points coincide until their inputs or governors first
+        diverge).  Each step fills a preallocated RHS matrix with one
+        column per distinct (state, power) pair — the ``(C/dt) * T``
+        history term, plus the convective ambient term on the spreader
+        rows and the power on each die's rows, rounding exactly as the
+        scalar loop does — and back-substitutes them in a single SuperLU
+        call.  Results match :meth:`run_reference` to within the
+        backsolve kernel's column-order rounding (byte-identical on the
+        reference workloads, pinned in tests).
         """
         if not schedules:
             return []
@@ -279,50 +263,64 @@ class TransientThermalSolver:
             for s in schedules
         ]
         steady = self.steady
-        nx, ny = steady.nx, steady.ny
-        layers = steady.stack.layers
-        n = len(layers) * ny * nx
-        ambient = steady.stack.ambient_k
-        start = initial_k if initial_k is not None else ambient
+        n = steady.unknowns
+        start = initial_k if initial_k is not None else steady.stack.ambient_k
         kruns = len(scheds)
-        temps = np.full((n, kruns), start, dtype=float)
-        prev_peak = np.full(kruns, float(start))
+        temps = np.full((n, 1), start, dtype=float)
+        #: per run, its state column in ``temps``
+        column = [0] * kruns
+        prev_peak = [float(start)] * kruns
 
-        times: List[float] = []
         steps = max(1, int(round(duration_s / self.dt_s)))
+        times = [step * self.dt_s for step in range(1, steps + 1)]
         peaks = np.empty((steps, kruns))
-        conv = steady._conv_per_cell
-        chip_cells = self._chip_cells
-        die_cells = self._die_cells
-        for step in range(1, steps + 1):
-            t = step * self.dt_s
-            rhs = np.zeros((n, kruns))
-            for k, sched in enumerate(scheds):
-                grids = sched.power_grids(t, float(prev_peak[k]))
-                rhs[chip_cells, k] = self._stack_power(grids)
-            rhs[: ny * nx, :] += conv * ambient
-            rhs += self._cap_over_dt[:, None] * temps
+        spreader = steady.ny * steady.nx
+        ambient = steady._conv_per_cell * steady.stack.ambient_k
+        cap_over_dt = self._cap_over_dt[:, None]
+        rhs_buffer = np.empty((n, kruns), order="F")
+        power = np.empty((kruns, len(self._die_order), steady._chip_nx * steady._chip_ny))
+        for step, t in enumerate(times):
+            np.concatenate(
+                [grid for k, sched in enumerate(scheds)
+                 for grid in self._die_grids(sched.power_grids(t, prev_peak[k]))],
+                axis=None, out=power.reshape(-1),
+            )
+            # One new column per distinct (state column, power) pair: its
+            # previous state column and a run that supplies its power.
+            distinct: Dict[Tuple[int, bytes], int] = {}
+            states: List[int] = []
+            sources: List[int] = []
+            for k in range(kruns):
+                key = (column[k], power[k].tobytes())
+                if key not in distinct:
+                    distinct[key] = len(sources)
+                    states.append(column[k])
+                    sources.append(k)
+                column[k] = distinct[key]
+            rhs = rhs_buffer[:, :len(sources)]
+            # Each cell gets the (C/dt) * T history term plus at most one
+            # of the ambient term (spreader) and power (die layers, never
+            # the spreader): one rounding, the same as _rhs_for + history.
+            np.multiply(cap_over_dt, temps[:, states], out=rhs)
+            rhs[:spreader] += ambient
+            for d, rows in enumerate(self._power_rows):
+                rhs[rows] += power[sources, d].T
             temps = np.asarray(self._step_solve(rhs))
             if temps.ndim == 1:
                 temps = temps[:, None]
-            times.append(t)
-            prev_peak = np.maximum.reduce(temps[die_cells, :], axis=0)
-            peaks[step - 1] = prev_peak
+            column_peaks = np.maximum.reduce(
+                [temps[rows].max(axis=0) for rows in self._peak_rows])
+            peaks[step] = column_peaks[column]
+            prev_peak = peaks[step].tolist()
 
-        results = []
-        for k in range(kruns):
-            final = [
-                temps[l * ny * nx:(l + 1) * ny * nx, k].reshape(ny, nx)
-                for l in range(len(layers))
-            ]
-            results.append(
-                TransientResult(
-                    times_s=list(times),
-                    peak_k=[float(p) for p in peaks[:, k]],
-                    final_layer_temps=final,
-                )
+        return [
+            TransientResult(
+                times_s=list(times),
+                peak_k=[float(p) for p in peaks[:, k]],
+                final_layer_temps=steady.expand(temps[:, column[k]]),
             )
-        return results
+            for k in range(kruns)
+        ]
 
     def run_reference(
         self,
@@ -330,10 +328,9 @@ class TransientThermalSolver:
         duration_s: float,
         initial_k: Optional[float] = None,
     ) -> TransientResult:
-        """Ground-truth scalar loop (per-step embed, per-run solve).
+        """Ground-truth scalar loop (per-step RHS, per-run solve).
 
-        Kept verbatim from the original implementation so the batched
-        path can be pinned byte-identical against it.
+        The batched path is pinned byte-identical against it.
         """
         if duration_s <= 0:
             raise ValueError("duration must be positive")
@@ -343,39 +340,24 @@ class TransientThermalSolver:
             else _CallableSchedule(power_fn)
         )
         steady = self.steady
-        nx, ny = steady.nx, steady.ny
-        layers = steady.stack.layers
-        n = len(layers) * ny * nx
-        ambient = steady.stack.ambient_k
-        temps = np.full(n, initial_k if initial_k is not None else ambient)
-        prev_peak = float(initial_k if initial_k is not None else ambient)
-
+        start = initial_k if initial_k is not None else steady.stack.ambient_k
+        temps = np.full(steady.unknowns, start)
+        prev_peak = float(start)
         die_layers = steady._die_layer_map
 
         times: List[float] = []
         peaks: List[float] = []
         steps = max(1, int(round(duration_s / self.dt_s)))
-        conv = steady._conv_per_cell
         for step in range(1, steps + 1):
             t = step * self.dt_s
-            grids = sched.power_grids(t, prev_peak)
-            rhs = np.zeros(n)
-            for die, layer_index in die_layers.items():
-                full = steady._embed(np.asarray(grids[die]))
-                rhs[layer_index * ny * nx:(layer_index + 1) * ny * nx] += full.ravel()
-            rhs[: ny * nx] += conv * ambient
+            rhs = steady._rhs_for(sched.power_grids(t, prev_peak))
             rhs += self._cap_over_dt * temps
             temps = self._step_solve(rhs)
             times.append(t)
-            die_peak = max(
-                temps[l * ny * nx:(l + 1) * ny * nx].max()
-                for l in die_layers.values()
-            )
-            prev_peak = float(die_peak)
+            prev_peak = float(max(
+                temps[steady.layer_cells(l)].max() for l in die_layers.values()
+            ))
             peaks.append(prev_peak)
 
-        final = [
-            temps[l * ny * nx:(l + 1) * ny * nx].reshape(ny, nx)
-            for l in range(len(layers))
-        ]
-        return TransientResult(times_s=times, peak_k=peaks, final_layer_temps=final)
+        return TransientResult(times_s=times, peak_k=peaks,
+                               final_layer_temps=steady.expand(temps))

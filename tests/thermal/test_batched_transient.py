@@ -107,6 +107,38 @@ class TestBatchedEqualsScalar:
         assert result.time_to_reach(threshold) == want
         assert result.time_to_reach(1e9) is None
 
+    def test_identical_power_shares_one_column(self, solvers):
+        solver = solvers["3d"]
+        transient = TransientThermalSolver(solver, dt_s=5e-3)
+        widths = []
+        solve = transient._step_solve
+
+        def counting(rhs):
+            widths.append(rhs.shape[1])
+            return solve(rhs)
+
+        transient._step_solve = counting
+        constant, wobble, reactive = _schedules(solver)
+        base = constant(0.0)
+
+        def burst(t):
+            return [g * 2.0 for g in base] if t <= 0.01 else base
+
+        runs = [constant, reactive, wobble, constant, burst]
+        batched = transient.run_many(runs, DURATION)
+        transient._step_solve = solve
+        # The two constant runs never split; the reactive run follows
+        # them until its governor first halves the power; the burst run
+        # keeps its own column after its power matches theirs again.
+        assert widths[0] == 3
+        assert widths[-1] == 4
+        assert batched[0].peak_k == batched[3].peak_k
+        for got, schedule in zip(batched, runs):
+            want = transient.run_reference(schedule, DURATION)
+            assert got.peak_k == want.peak_k
+            for a, b in zip(got.final_layer_temps, want.final_layer_temps):
+                assert np.array_equal(a, b)
+
 
 class TestStepCache:
     def test_one_factorization_per_key(self, solvers):
