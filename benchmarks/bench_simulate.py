@@ -8,8 +8,8 @@ benchmarks x the six pinned configurations), single-process.  Emits a
 ``BENCH_report.json`` and gates against
 ``benchmarks/baselines/simulate_ips.json``.
 
-One (benchmark, config) pair is additionally replayed on the reference
-object path so the artifact tracks the columnar speedup over time.
+One (benchmark, config) pair's stall breakdown is recorded as a
+sanity sample of the timed results.
 
 Usage::
 
@@ -32,7 +32,7 @@ BENCHMARKS = ("mpeg2", "mcf", "susan", "yacr2", "swim", "adpcm")
 TRACE_LENGTH = 8_000
 WARMUP = 2_500
 
-#: The pair replayed on the object path for the speedup trend line.
+#: The pair whose stall breakdown the artifact records.
 REFERENCE_PAIR = ("mpeg2", "TH")
 
 
@@ -48,7 +48,6 @@ def run(out_path: str) -> dict:
     compiled_bytes = 0
     for name, trace in traces.items():
         compiled = trace.compiled()
-        assert compiled is not None, f"{name} did not compile"
         compiled_bytes += compiled.nbytes
         predecoded[name] = predecode(compiled)
     t_compile = time.perf_counter() - t0
@@ -58,19 +57,13 @@ def run(out_path: str) -> dict:
     t0 = time.perf_counter()
     for name, pre in predecoded.items():
         for label, config in configs.items():
-            result = TimingSimulator(config, batched=True).run_compiled(
+            result = TimingSimulator(config).run_compiled(
                 pre, warmup=WARMUP
             )
             simulations += 1
             if (name, label) == REFERENCE_PAIR:
                 sample_stalls = result.stalls.as_dict()
     t_simulate = time.perf_counter() - t0
-
-    ref_name, ref_label = REFERENCE_PAIR
-    t0 = time.perf_counter()
-    TimingSimulator(configs[ref_label]).run(traces[ref_name], warmup=WARMUP)
-    t_object_pair = time.perf_counter() - t0
-    t_columnar_pair = t_simulate / simulations  # mean per simulation
 
     instructions = simulations * TRACE_LENGTH
     payload = {
@@ -91,10 +84,7 @@ def run(out_path: str) -> dict:
         "instructions_per_second": round(instructions / t_simulate, 1),
         "compiled_trace_bytes": compiled_bytes,
         "reference_pair": {
-            "pair": f"{ref_name}/{ref_label}",
-            "object_path_seconds": round(t_object_pair, 3),
-            "columnar_mean_seconds": round(t_columnar_pair, 3),
-            "speedup": round(t_object_pair / t_columnar_pair, 2),
+            "pair": "/".join(REFERENCE_PAIR),
             "stalls": sample_stalls,
         },
     }
@@ -115,9 +105,6 @@ def main() -> int:
           f"simulate {stages['simulate']}s "
           f"({payload['simulations']} simulations, "
           f"{payload['instructions_per_second']:,.0f} inst/s)")
-    ref = payload["reference_pair"]
-    print(f"columnar speedup vs object path on {ref['pair']}: "
-          f"{ref['speedup']}x")
     print(f"wrote {args.out}")
     return 0
 

@@ -198,68 +198,6 @@ class MemoryHierarchy:
         self.l2.install(addr + self.l1d.line_bytes)
         return MemoryAccessResult(cycles=0, level=level, tlb_miss=tlb_miss)
 
-    # ------------------------------------------------------------------ #
-    # Line/page twins of the three access paths above, used by the
-    # columnar simulation loop: the caller supplies the precomputed line
-    # number (addr // line_bytes, identical for L1I/L1D/L2 — see
-    # build_hierarchy) and page number (addr // page_bytes), so the
-    # next-line prefetch is simply ``line + 1`` and no division happens
-    # per access.  Results are plain values instead of
-    # MemoryAccessResult (the hot loop unpacks them immediately).
-    # Activity, stats, and replacement state evolve identically to the
-    # address-based paths — the equivalence tests depend on it.
-
-    def instruction_fetch_line(self, line: int, page: int) -> int:
-        """:meth:`instruction_fetch` by line/page; returns cycles."""
-        self._counters.record("itlb", dies_active=NUM_DIES)
-        tlb_miss = not self.itlb.access_line(page)
-        self._counters.record("l1_icache", dies_active=NUM_DIES)
-        cycles = self.l1_latency
-        if not self.l1i.access_line(line):
-            self._counters.record("l2_cache", dies_active=NUM_DIES)
-            if self.l2.access_line(line):
-                cycles += self.l2_latency
-            else:
-                self._counters.record("dram", dies_active=NUM_DIES)
-                cycles += self.l2_latency + self.dram_cycles
-        self.l1i.install_line(line + 1)
-        self.l2.install_line(line + 1)
-        if tlb_miss:
-            cycles += self.tlb_miss_penalty
-        return cycles
-
-    def load_line(self, line: int, page: int) -> Tuple[int, str, bool]:
-        """:meth:`load` by line/page; returns (cycles, level, tlb_miss)."""
-        self._counters.record("dtlb", dies_active=NUM_DIES)
-        tlb_miss = not self.dtlb.access_line(page)
-        cycles = self.l1_latency
-        level = "l1"
-        if not self.l1d.access_line(line):
-            self._counters.record("l2_cache", dies_active=NUM_DIES)
-            if self.l2.access_line(line):
-                cycles += self.l2_latency
-                level = "l2"
-            else:
-                self._counters.record("dram", dies_active=NUM_DIES)
-                cycles += self.l2_latency + self.dram_cycles
-                level = "dram"
-        self.l1d.install_line(line + 1)
-        self.l2.install_line(line + 1)
-        if tlb_miss:
-            cycles += self.tlb_miss_penalty
-        return cycles, level, tlb_miss
-
-    def store_line(self, line: int, page: int) -> None:
-        """:meth:`store` by line/page; the result is never consumed."""
-        self._counters.record("dtlb", dies_active=NUM_DIES)
-        self.dtlb.access_line(page)
-        if not self.l1d.access_line(line):
-            self._counters.record("l2_cache", dies_active=NUM_DIES)
-            if not self.l2.access_line(line):
-                self._counters.record("dram", dies_active=NUM_DIES)
-        self.l1d.install_line(line + 1)
-        self.l2.install_line(line + 1)
-
 
 def build_hierarchy(counters: ActivityCounters, config) -> MemoryHierarchy:
     """Construct the hierarchy from a :class:`~repro.cpu.config.CPUConfig`."""

@@ -18,9 +18,9 @@ substantially faster than per-element numpy scalar extraction.
 Geometry-dependent columns (cache line and TLB page numbers) are cached
 per ``(line_bytes, page_bytes)``; the L2 prewarm install sequence is
 cached per ``line_bytes``; the static width-prediction profile is cached
-once.  All cached derivations replicate the reference path's iteration
-order exactly — dict insertion order feeds LRU state and the width
-profile's dict order, both of which the byte-identity guarantee covers.
+once.  Iteration order is part of every derivation's contract: dict
+insertion order feeds LRU state and the width profile's dict order, and
+the golden digests pin both.
 
 The batched wavefront split (:mod:`repro.cpu.wavefront`) adds a second
 family of derived columns: dependency writer indices (which earlier
@@ -229,10 +229,9 @@ class PreDecodedTrace:
     def geometry(self, line_bytes: int, page_bytes: int) -> tuple:
         """Cache-line and TLB-page index columns for one cache geometry.
 
-        Returns ``(pc_lines, pc_pages, mem_lines, mem_pages)``.  The
-        hierarchy's line-based access paths require L1I/L1D/L2 to share
-        ``line_bytes``, which :func:`~repro.cpu.caches.build_hierarchy`
-        guarantees (one ``config.line_bytes`` feeds all three).
+        Returns ``(pc_lines, pc_pages, mem_lines, mem_pages)``.  One
+        ``config.line_bytes`` serves L1I, L1D and L2, so one line column
+        serves all three.
         """
         key = (line_bytes, page_bytes)
         cached = self._geometry.get(key)
@@ -247,9 +246,19 @@ class PreDecodedTrace:
         return cached
 
     def prewarm_lines(self, line_bytes: int) -> List[int]:
-        """The L2 prewarm install sequence, as line numbers, in the exact
-        order :meth:`TimingSimulator._prewarm` installs them (insertion
-        order feeds LRU state, so order is part of the contract)."""
+        """The L2 prewarm install sequence, as line numbers, in install
+        order (insertion order feeds LRU state).
+
+        A finite trace window cannot warm a 4 MB L2 the way minutes of
+        real execution do, so steady-state residency is approximated from
+        reuse, at 64 KB region granularity: a line the trace touches at
+        least twice, a line in a hot region (accesses per line >= 2, e.g.
+        stacks and hot sets) and a line in a revisited pool (>= 2.5 % of
+        the region's lines reused, e.g. a bounded pointer-chase
+        structure) would be resident in a long-running simulation of a
+        stationary workload.  Single-pass streams and vast sparse
+        footprints keep missing, as they would in steady state.
+        """
         cached = self._prewarm.get(line_bytes)
         if cached is not None:
             return cached
@@ -319,10 +328,9 @@ class PreDecodedTrace:
         ``writers()[k][i]`` is the index of the most recent instruction
         before ``i`` whose destination equals source ``k`` of ``i``, or
         -1 when no earlier instruction wrote it.  Together with the
-        per-instruction completion cycles the loop records, these replace
-        the reference loop's ``reg_ready`` scoreboard dict exactly: a
-        register never written reads ready-at-cycle-0, like the dict's
-        default.
+        per-instruction completion cycles the loop records, these form
+        the register scoreboard: a register never written reads
+        ready-at-cycle-0.
         """
         cached = self._writers
         if cached is None:
@@ -382,10 +390,10 @@ class PreDecodedTrace:
         the encoding the access observes/installs compressible?  Stores
         always reclassify their value (fully vectorized); loads see the
         get-or-install evolution of the per-double-word encoding dict,
-        replayed here once per scheme in program order — identical to the
-        call sequence :class:`~repro.core.dcache_encoding.PartialValueCache`
-        sees in the reference loop (every load and store participates,
-        regardless of width prediction).
+        replayed here once per scheme in program order — the call
+        sequence of :class:`~repro.core.dcache_encoding.PartialValueCache`
+        (every load and store participates, regardless of width
+        prediction).
         """
         cached = self._dc_cols.get(scheme_value)
         if cached is None:

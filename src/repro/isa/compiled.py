@@ -18,9 +18,10 @@ emulator or unpickling a private instruction list.
 
 Compilation is strict: any trace the fixed-width columns cannot represent
 exactly (more than two sources, values outside 64-bit range, register ids
-outside int16) raises :class:`TraceCompileError`, and callers fall back
-to the object path.  :meth:`CompiledTrace.to_trace` reconstructs the
-original instruction list exactly, which the equivalence tests rely on.
+outside int16) raises :class:`TraceCompileError` naming the offending pc;
+the timing engine replays compiled traces only.  Every trace the emulator
+emits compiles.  :meth:`CompiledTrace.to_trace` reconstructs the original
+instruction list exactly.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ from repro.isa.values import is_low_width, to_unsigned
 
 #: Maximum architectural sources per instruction.  The columnar trace
 #: form (:mod:`repro.isa.compiled`) allots exactly this many source
-#: register/value columns; a trace exceeding it is not columnar-
-#: representable and replays on the object path.
+#: register/value columns; compiling a trace that exceeds it raises
+#: :class:`~repro.isa.compiled.TraceCompileError`, so it cannot be
+#: simulated.
 MAX_SOURCES = 2
 
 
