@@ -656,6 +656,8 @@ class ExperimentContext:
             # and compiler wherever they run — including nested inside
             # the ``simulate`` stage on cold sweeps — so the per-stage
             # breakdown shows the next bottleneck without re-profiling.
+            # Generated traces are born compiled, so ``generate`` holds
+            # the array build and ``compile`` only a memo lookup.
             self.stats.add_stage("generate", time.perf_counter() - start)
             self.stats.traces_generated += 1
             self._traces[benchmark] = trace

@@ -1,10 +1,12 @@
 """Trace instruction-set layer.
 
 The reproduction is trace driven: workload generators (:mod:`repro.workloads`)
-emit streams of :class:`~repro.isa.instruction.TraceInstruction` records that
-the timing model (:mod:`repro.cpu`) replays.  This package defines the
-instruction record format, the opcode classes, the register namespace, and
-the value-width utilities that the Thermal Herding techniques build on.
+emit committed-instruction streams, born as rows of the columnar trace
+form (:mod:`repro.isa.compiled`), that the timing model (:mod:`repro.cpu`)
+replays.  This package defines that form and the equivalent
+:class:`~repro.isa.instruction.TraceInstruction` record format, the opcode
+classes, the register namespace, and the value-width utilities that the
+Thermal Herding techniques build on.
 """
 
 from repro.isa.opcodes import OpClass, FunctionalUnit, FU_FOR_OP, OP_LATENCY

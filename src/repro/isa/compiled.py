@@ -1,27 +1,31 @@
 """Columnar (structure-of-arrays) trace representation.
 
-A :class:`~repro.isa.trace.Trace` is a list of frozen dataclass records;
-replaying one under six configurations re-pays Python attribute access,
-``cached_property`` machinery, and big-int width arithmetic per
-instruction per configuration.  :func:`compile_trace` converts the trace
-into one numpy structured array — the *compiled* form — from which all
-loop-invariant per-instruction properties (op-class predicates, 16-bit
-significance classification, cache line/page indices) are derived once,
+The compiled form of a trace is one numpy structured array, one row per
+committed instruction (:data:`TRACE_DTYPE`).  All loop-invariant
+per-instruction properties (op-class predicates, 16-bit significance
+classification, cache line/page indices) are derived from it once,
 vectorized, and shared across every configuration that replays the
-trace (see :mod:`repro.cpu.predecode`).
+trace (see :mod:`repro.cpu.predecode`); the timing engine replays
+compiled traces only.
+
+Generated traces are born in this form: the emulator writes one row
+tuple per instruction and :func:`compiled_from_rows` builds the array
+with a single ``np.array`` call.  :func:`compile_trace` converts a
+hand-built list of :class:`~repro.isa.instruction.TraceInstruction`
+records (tests, microbenchmark kernels, examples), and
+:meth:`CompiledTrace.instructions` rebuilds that list exactly from the
+rows for callers that read records.
 
 The compiled form is also the *transport* form: it round-trips through
 ``.npy`` + JSON-sidecar files (:func:`write_compiled` /
 :func:`read_compiled`) and is memory-mapped back in, so worker processes
 share one on-disk copy per workload instead of each re-running the
-emulator or unpickling a private instruction list.
+emulator.
 
-Compilation is strict: any trace the fixed-width columns cannot represent
-exactly (more than two sources, values outside 64-bit range, register ids
-outside int16) raises :class:`TraceCompileError` naming the offending pc;
-the timing engine replays compiled traces only.  Every trace the emulator
-emits compiles.  :meth:`CompiledTrace.to_trace` reconstructs the original
-instruction list exactly.
+Both constructors are strict: any trace the fixed-width columns cannot
+represent exactly (more than two sources, values outside 64-bit range,
+register ids outside int16) raises :class:`TraceCompileError` naming the
+offending pc.
 """
 
 from __future__ import annotations
@@ -44,11 +48,13 @@ TRACE_SCHEMA_VERSION = 1
 #: into this list.
 OPCLASS_LIST: List[OpClass] = list(OpClass)
 
-_OP_CODE: Dict[OpClass, int] = {op: code for code, op in enumerate(OPCLASS_LIST)}
+#: The ``op`` column value of each op class.
+OP_CODE: Dict[OpClass, int] = {op: code for code, op in enumerate(OPCLASS_LIST)}
 
 #: One row per committed instruction.  ``dst`` uses -1 for "no
 #: destination"; optional fields pair a value column with a presence
-#: flag so ``None`` survives the round trip exactly.
+#: flag so ``None`` survives the round trip exactly.  Absent sources
+#: store register 0 and value 0, absent optional values 0.
 TRACE_DTYPE = np.dtype([
     ("pc", "<u8"),
     ("op", "<u1"),
@@ -69,9 +75,6 @@ TRACE_DTYPE = np.dtype([
     ("target", "<u8"),
 ])
 
-_U64_MAX = (1 << 64) - 1
-_REG_MAX = (1 << 15) - 1
-
 
 class TraceCompileError(ValueError):
     """The trace cannot be represented exactly in columnar form."""
@@ -79,14 +82,6 @@ class TraceCompileError(ValueError):
 
 class TraceReadError(ValueError):
     """An on-disk compiled trace is missing, corrupt, or incompatible."""
-
-
-def _check_u64(value: int, what: str, pc: int) -> int:
-    if not 0 <= value <= _U64_MAX:
-        raise TraceCompileError(
-            f"{what}={value!r} at pc={pc:#x} is outside the unsigned 64-bit range"
-        )
-    return value
 
 
 class CompiledTrace:
@@ -126,122 +121,84 @@ class CompiledTrace:
         """
         return int(self.array.nbytes)
 
-    def to_trace(self) -> Trace:
-        """Reconstruct the exact object-form :class:`Trace`."""
-        rows = self.array
-        instructions: List[TraceInstruction] = []
-        for row in rows:
-            nsrcs = int(row["nsrcs"])
-            nvals = int(row["nvals"])
-            srcs = (int(row["src0"]),)[:nsrcs] if nsrcs < 2 else (
-                int(row["src0"]), int(row["src1"])
-            )
-            src_values = (int(row["sval0"]),)[:nvals] if nvals < 2 else (
-                int(row["sval0"]), int(row["sval1"])
-            )
-            dst = int(row["dst"])
-            instructions.append(TraceInstruction(
-                pc=int(row["pc"]),
-                op=OPCLASS_LIST[int(row["op"])],
-                srcs=srcs,
+    def instructions(self) -> List[TraceInstruction]:
+        """Rebuild the exact record list the rows encode."""
+        ops = OPCLASS_LIST
+        return [
+            TraceInstruction(
+                pc=pc,
+                op=ops[op],
+                srcs=(src0, src1)[:nsrcs],
                 dst=None if dst < 0 else dst,
-                result=int(row["result"]),
-                src_values=src_values,
-                mem_addr=int(row["mem_addr"]) if row["has_mem_addr"] else None,
-                mem_value=int(row["mem_value"]) if row["has_mem_value"] else None,
-                taken=bool(row["taken"]),
-                target=int(row["target"]) if row["has_target"] else None,
-            ))
-        return Trace(
-            name=self.name,
-            instructions=instructions,
-            benchmark_class=self.benchmark_class,
-            seed=self.seed,
-        )
+                result=result,
+                src_values=(sval0, sval1)[:nvals],
+                mem_addr=mem_addr if has_mem_addr else None,
+                mem_value=mem_value if has_mem_value else None,
+                taken=taken,
+                target=target if has_target else None,
+            )
+            for (pc, op, nsrcs, nvals, src0, src1, dst, result, sval0, sval1,
+                 has_mem_addr, mem_addr, has_mem_value, mem_value, taken,
+                 has_target, target) in self.array.tolist()
+        ]
 
 
 def compile_trace(trace: Trace) -> CompiledTrace:
-    """Compile ``trace`` into columnar form (strict; see module docstring)."""
-    n = len(trace.instructions)
-    arr = np.zeros(n, dtype=TRACE_DTYPE)
-    pcs = [0] * n
-    ops = [0] * n
-    nsrcs_col = [0] * n
-    nvals_col = [0] * n
-    src0 = [0] * n
-    src1 = [0] * n
-    dsts = [-1] * n
-    results = [0] * n
-    sval0 = [0] * n
-    sval1 = [0] * n
-    has_ma = [False] * n
-    mem_addrs = [0] * n
-    has_mv = [False] * n
-    mem_values = [0] * n
-    takens = [False] * n
-    has_tgt = [False] * n
-    targets = [0] * n
-    for i, inst in enumerate(trace.instructions):
-        pc = inst.pc
-        pcs[i] = _check_u64(pc, "pc", pc)
-        ops[i] = _OP_CODE[inst.op]
-        srcs = inst.srcs
+    """Compile a record-form trace into columnar form (strict; see the
+    module docstring)."""
+    rows = []
+    for inst in trace.instructions:
+        pc, dst = inst.pc, inst.dst
+        srcs, values = tuple(inst.srcs), tuple(inst.src_values)
         if len(srcs) > MAX_SOURCES:
             raise TraceCompileError(
                 f"{len(srcs)} sources at pc={pc:#x} exceed the "
                 f"{MAX_SOURCES}-column layout"
             )
-        nsrcs_col[i] = len(srcs)
-        for j, src in enumerate(srcs):
-            if not 0 <= src <= _REG_MAX:
-                raise TraceCompileError(
-                    f"source register {src!r} at pc={pc:#x} is outside int16"
+        # int16 columns hold negative ids, and -1 encodes "no destination".
+        if min(srcs + (0 if dst is None else dst,), default=0) < 0:
+            raise TraceCompileError(f"negative register id at pc={pc:#x}")
+        src0, src1 = (srcs + (0, 0))[:2]
+        sval0, sval1 = (values + (0, 0))[:2]
+        rows.append((
+            pc, OP_CODE[inst.op], len(srcs), len(values), src0, src1,
+            -1 if dst is None else dst, inst.result, sval0, sval1,
+            inst.mem_addr is not None, inst.mem_addr or 0,
+            inst.mem_value is not None, inst.mem_value or 0,
+            inst.taken, inst.target is not None, inst.target or 0,
+        ))
+    return compiled_from_rows(rows, trace.name, trace.benchmark_class, trace.seed)
+
+
+def compiled_from_rows(rows: List[tuple], name: str, benchmark_class: str,
+                       seed: Optional[int]) -> CompiledTrace:
+    """Build a compiled trace from row tuples in :data:`TRACE_DTYPE`
+    field order, as the emulator writes them.
+
+    A value its column cannot hold raises :class:`TraceCompileError`
+    naming the field and the pc.
+    """
+    try:
+        array = np.array(rows, dtype=TRACE_DTYPE)
+    except OverflowError as exc:
+        raise _locate_overflow(rows) from exc
+    return CompiledTrace(name, benchmark_class, seed, array)
+
+
+def _locate_overflow(rows: List[tuple]) -> TraceCompileError:
+    """The error naming the first row field numpy cannot store."""
+    for row in rows:
+        for field, value in zip(TRACE_DTYPE.names, row):
+            column = TRACE_DTYPE[field]
+            try:
+                np.array(value, dtype=column)
+            except OverflowError:
+                signed = "signed" if column.kind == "i" else "unsigned"
+                return TraceCompileError(
+                    f"{field}={value!r} at pc={row[0]:#x} does not fit its "
+                    f"{column.itemsize * 8}-bit {signed} column"
                 )
-            (src0 if j == 0 else src1)[i] = src
-        values = inst.src_values
-        nvals_col[i] = len(values)
-        for j, value in enumerate(values):
-            (sval0 if j == 0 else sval1)[i] = _check_u64(value, "src value", pc)
-        if inst.dst is not None:
-            if not 0 <= inst.dst <= _REG_MAX:
-                raise TraceCompileError(
-                    f"destination register {inst.dst!r} at pc={pc:#x} is outside int16"
-                )
-            dsts[i] = inst.dst
-        results[i] = _check_u64(inst.result, "result", pc)
-        if inst.mem_addr is not None:
-            has_ma[i] = True
-            mem_addrs[i] = _check_u64(inst.mem_addr, "mem_addr", pc)
-        if inst.mem_value is not None:
-            has_mv[i] = True
-            mem_values[i] = _check_u64(inst.mem_value, "mem_value", pc)
-        takens[i] = inst.taken
-        if inst.target is not None:
-            has_tgt[i] = True
-            targets[i] = _check_u64(inst.target, "target", pc)
-    arr["pc"] = pcs
-    arr["op"] = ops
-    arr["nsrcs"] = nsrcs_col
-    arr["nvals"] = nvals_col
-    arr["src0"] = src0
-    arr["src1"] = src1
-    arr["dst"] = dsts
-    arr["result"] = results
-    arr["sval0"] = sval0
-    arr["sval1"] = sval1
-    arr["has_mem_addr"] = has_ma
-    arr["mem_addr"] = mem_addrs
-    arr["has_mem_value"] = has_mv
-    arr["mem_value"] = mem_values
-    arr["taken"] = takens
-    arr["has_target"] = has_tgt
-    arr["target"] = targets
-    return CompiledTrace(
-        name=trace.name,
-        benchmark_class=trace.benchmark_class,
-        seed=trace.seed,
-        array=arr,
-    )
+    return TraceCompileError("a trace row overflowed its column")
 
 
 # ---------------------------------------------------------------------- #

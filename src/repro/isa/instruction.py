@@ -36,7 +36,7 @@ class TraceInstruction:
     :data:`MAX_SOURCES` sources.  Instructions within those bounds —
     everything the emulator emits — round-trip exactly through
     :func:`repro.isa.compiled.compile_trace` /
-    :meth:`repro.isa.compiled.CompiledTrace.to_trace`.
+    :meth:`repro.isa.compiled.CompiledTrace.instructions`.
 
     Attributes
     ----------

@@ -1,8 +1,11 @@
 """Trace container and summary statistics.
 
 A :class:`Trace` is the unit of work a benchmark run consumes: an ordered
-list of committed :class:`~repro.isa.instruction.TraceInstruction` records
-plus identifying metadata (name, benchmark class, generator seed).
+stream of committed :class:`~repro.isa.instruction.TraceInstruction` records
+plus identifying metadata (name, benchmark class, generator seed).  The
+records may exist only in columnar form (:mod:`repro.isa.compiled`):
+generated traces are born as rows of one numpy array and build the record
+list only when it is read.
 :class:`TraceStats` summarizes the properties the paper's techniques
 exploit — instruction mix, value-width distribution, address upper-bit
 locality, and branch-target displacement locality — and is used both by
@@ -25,23 +28,70 @@ from repro.isa.values import (
 )
 
 
-@dataclass
 class Trace:
-    """An ordered committed-instruction stream with metadata."""
+    """An ordered committed-instruction stream with metadata.
 
-    name: str
-    instructions: List[TraceInstruction]
-    benchmark_class: str = "unknown"
-    seed: Optional[int] = None
+    A trace holds one of two forms and derives the other on demand,
+    memoized on the instance.  A hand-built trace (tests, microbenchmark
+    kernels, examples) starts as a list of records and compiles on its
+    first :meth:`compiled` call.  A generated trace is born columnar
+    (:meth:`from_compiled`): its ``instructions`` list is materialized
+    only when a caller reads records (statistics, phase analysis,
+    examples).  Length, iteration, indexing and equality behave the same
+    for both.
+    """
+
+    #: Compared by value and mutable through its memo, so not hashable.
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        name: str,
+        instructions: List[TraceInstruction],
+        benchmark_class: str = "unknown",
+        seed: Optional[int] = None,
+    ):
+        self.name = name
+        self._instructions: Optional[List[TraceInstruction]] = instructions
+        self.benchmark_class = benchmark_class
+        self.seed = seed
+        self._compiled = None
+
+    @classmethod
+    def from_compiled(cls, compiled) -> "Trace":
+        """A trace whose columnar form already exists; its records are
+        rebuilt from the rows on first read."""
+        trace = cls(compiled.name, [], compiled.benchmark_class, compiled.seed)
+        trace._instructions = None
+        trace._compiled = compiled
+        return trace
+
+    @property
+    def instructions(self) -> List[TraceInstruction]:
+        if self._instructions is None:
+            self._instructions = self._compiled.instructions()
+        return self._instructions
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        if self._instructions is None:
+            return len(self._compiled)
+        return len(self._instructions)
 
     def __iter__(self) -> Iterator[TraceInstruction]:
         return iter(self.instructions)
 
     def __getitem__(self, index):
         return self.instructions[index]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.benchmark_class, self.seed, self.instructions) \
+            == (other.name, other.benchmark_class, other.seed, other.instructions)
+
+    def __repr__(self) -> str:
+        return (f"Trace(name={self.name!r}, length={len(self)}, "
+                f"benchmark_class={self.benchmark_class!r}, seed={self.seed!r})")
 
     def stats(self) -> "TraceStats":
         return TraceStats.from_instructions(self.instructions)
@@ -55,12 +105,11 @@ class Trace:
         :class:`~repro.isa.compiled.TraceCompileError` naming the pc of
         the offending instruction.
         """
-        compiled = self.__dict__.get("_compiled")
-        if compiled is None:
+        if self._compiled is None:
             from repro.isa.compiled import compile_trace
 
-            compiled = self.__dict__["_compiled"] = compile_trace(self)
-        return compiled
+            self._compiled = compile_trace(self)
+        return self._compiled
 
 
 @dataclass

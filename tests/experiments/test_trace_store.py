@@ -58,8 +58,7 @@ class TestTraceStore:
         assert loaded is not None
         assert loaded.name == "adpcm"
         assert len(loaded) == 300
-        assert loaded.to_trace().instructions == \
-            compiled.to_trace().instructions
+        assert loaded.instructions() == compiled.instructions()
         assert store.hits == 1 and store.stores == 1
 
     def test_missing_entry_is_a_miss(self, tmp_path):

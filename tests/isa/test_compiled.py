@@ -1,8 +1,8 @@
 """Columnar trace compilation: exact round-trips and strictness.
 
 The compiled form is only allowed to exist if it is *exact*: every
-instruction must survive ``compile_trace`` -> ``to_trace`` unchanged,
-traces outside the fixed-width layout must refuse to compile (and so
+instruction must survive ``compile_trace`` ->
+``CompiledTrace.instructions`` unchanged, traces outside the fixed-width layout must refuse to compile (and so
 cannot be simulated), and damaged on-disk entries must raise
 ``TraceReadError`` rather than deliver garbage into a simulation.
 """
@@ -31,7 +31,7 @@ from repro.workloads.suite import generate
 
 
 def _roundtrip(trace: Trace) -> Trace:
-    return compile_trace(trace).to_trace()
+    return Trace.from_compiled(compile_trace(trace))
 
 
 class TestRoundTrip:
@@ -81,7 +81,7 @@ class TestRoundTrip:
     def test_empty_trace(self):
         compiled = compile_trace(Trace("empty", []))
         assert len(compiled) == 0
-        assert compiled.to_trace().instructions == []
+        assert compiled.instructions() == []
 
 
 class TestStrictness:
@@ -96,6 +96,17 @@ class TestStrictness:
                                 result=1 << 64)
         with pytest.raises(TraceCompileError, match="64-bit"):
             compile_trace(Trace("big", [inst]))
+
+    @pytest.mark.parametrize("fields", [
+        {"srcs": (-1,), "src_values": (0,)},
+        {"dst": -1},
+        {"dst": 1 << 15},
+        {"srcs": (1 << 15,), "src_values": (0,)},
+    ])
+    def test_register_outside_int16_or_negative_refuses(self, fields):
+        inst = TraceInstruction(pc=0x1000, op=OpClass.IALU, **fields)
+        with pytest.raises(TraceCompileError, match="pc=0x1000"):
+            compile_trace(Trace("regs", [inst]))
 
     def test_uncompilable_trace_raises(self):
         """Neither compilation nor simulation falls back: both name the
@@ -129,8 +140,7 @@ class TestOnDisk:
         assert loaded.array.dtype == TRACE_DTYPE
         assert isinstance(loaded.array, np.memmap)
         assert np.array_equal(np.asarray(loaded.array), compiled.array)
-        assert loaded.to_trace().instructions == \
-            compiled.to_trace().instructions
+        assert loaded.instructions() == compiled.instructions()
 
     def test_missing_meta_raises(self, tmp_path):
         _, npy = self._write(tmp_path)

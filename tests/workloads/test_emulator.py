@@ -12,13 +12,15 @@ PARAMS = CLASS_PARAMETERS[BenchmarkClass.MEDIABENCH]
 
 
 def emulate(length=2000, seed=5, params=PARAMS):
-    program = build_program(params, seed)
-    return Emulator(program, seed).run(length)
+    """The committed instructions, materialized from the trace rows."""
+    return generate_trace("t", params, length, seed).instructions
 
 
 class TestBasics:
     def test_length_exact(self):
         assert len(emulate(1234)) == 1234
+        program = build_program(PARAMS, 5)
+        assert len(Emulator(program, 5).run(1234)) == 1234
 
     def test_rejects_non_positive_length(self):
         program = build_program(PARAMS, 1)
