@@ -28,13 +28,22 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from repro.cpu import paper_configurations, simulate
-from repro.workloads import generate, standard_suite
+import importlib
 
-__all__ = [
-    "__version__",
-    "paper_configurations",
-    "simulate",
-    "generate",
-    "standard_suite",
-]
+#: Re-exported name -> defining module.  The re-exports load on first
+#: access (PEP 562), so importing any ``repro`` submodule does not pull
+#: in the timing engine or the emulator.
+_EXPORTS = {
+    "paper_configurations": "repro.cpu.config",
+    "simulate": "repro.cpu.pipeline",
+    "generate": "repro.workloads.suite",
+    "standard_suite": "repro.workloads.suite",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_EXPORTS[name]), name)

@@ -11,38 +11,31 @@ instruction; per-module switching activity is accumulated for the power
 and thermal models.
 """
 
-from repro.cpu.config import (
-    CPUConfig,
-    ProcessorConfiguration,
-    baseline_config,
-    thermal_herding_config,
-    pipeline_config,
-    fast_config,
-    full_3d_config,
-    paper_configurations,
-)
-from repro.cpu.caches import SetAssociativeCache, TLB, MemoryHierarchy, CacheStats
-from repro.cpu.branch_predictor import HybridPredictor, FrontEndPredictor, BranchStats
-from repro.cpu.results import SimulationResult
-from repro.cpu.pipeline import TimingSimulator, simulate
+import importlib
 
-__all__ = [
-    "CPUConfig",
-    "ProcessorConfiguration",
-    "baseline_config",
-    "thermal_herding_config",
-    "pipeline_config",
-    "fast_config",
-    "full_3d_config",
-    "paper_configurations",
-    "SetAssociativeCache",
-    "TLB",
-    "MemoryHierarchy",
-    "CacheStats",
-    "HybridPredictor",
-    "FrontEndPredictor",
-    "BranchStats",
-    "SimulationResult",
-    "TimingSimulator",
-    "simulate",
-]
+#: Re-exported name -> defining module, loaded on first access (PEP 562):
+#: importing ``repro.cpu.config`` alone must not load the timing engine.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("CPUConfig", "ProcessorConfiguration", "baseline_config",
+         "thermal_herding_config", "pipeline_config", "fast_config",
+         "full_3d_config", "paper_configurations"),
+        "repro.cpu.config"),
+    **dict.fromkeys(
+        ("SetAssociativeCache", "TLB", "MemoryHierarchy", "CacheStats"),
+        "repro.cpu.caches"),
+    **dict.fromkeys(
+        ("HybridPredictor", "FrontEndPredictor", "BranchStats"),
+        "repro.cpu.branch_predictor"),
+    "SimulationResult": "repro.cpu.results",
+    "TimingSimulator": "repro.cpu.pipeline",
+    "simulate": "repro.cpu.pipeline",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_EXPORTS[name]), name)

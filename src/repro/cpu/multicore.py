@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.cpu.config import CPUConfig
-from repro.cpu.pipeline import simulate
 from repro.cpu.results import SimulationResult
 from repro.isa.trace import Trace
 
@@ -68,6 +67,8 @@ def simulate_dual_core(
     if shared_l2:
         half = max(config.l2_size // 2, config.line_bytes * config.l2_assoc)
         core_config = replace(config, l2_size=half)
+    from repro.cpu.pipeline import simulate
+
     return DualCoreRun(
         core0=simulate(trace0, core_config, warmup=warmup),
         core1=simulate(trace1, core_config, warmup=warmup),

@@ -36,17 +36,19 @@ from repro.core.width_prediction import WidthPredictor, WidthPredictorStats
 from repro.cpu.branch_predictor import FrontEndPredictor
 from repro.cpu.config import CPUConfig
 from repro.cpu.predecode import PreDecodedTrace, predecode
-from repro.cpu.results import SimulationResult, StallBreakdown
+from repro.cpu.results import (  # noqa: F401  (SIMULATOR_VERSION re-exported)
+    SIMULATOR_VERSION,
+    SimulationResult,
+    StallBreakdown,
+)
 from repro.cpu.wavefront import build_plan
 from repro.isa.compiled import CompiledTrace, OPCLASS_LIST
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import Trace
 
-#: Timing-model version, part of the on-disk result-cache key and the
-#: key of the golden digests in ``tests/cpu/golden_digests.json``.  Bump
-#: on any change that alters simulation outcomes so stale entries never
-#: hit.
-SIMULATOR_VERSION = 1
+# SIMULATOR_VERSION is defined beside SimulationResult, so cache keys can
+# read it without loading this engine.  Bump it on any change here that
+# alters simulation outcomes.
 
 #: Fault-injection hook: when set, called with each instruction index at
 #: the top of the simulation loop.  Armed inside worker processes by the

@@ -10,6 +10,12 @@ from repro.core.width_prediction import WidthPredictorStats
 from repro.cpu.branch_predictor import BranchStats
 from repro.cpu.caches import CacheStats
 
+#: Timing-model version, part of the on-disk result-cache key and the
+#: key of the golden digests in ``tests/cpu/golden_digests.json``.  Bump
+#: on any change to :mod:`repro.cpu.pipeline` or :mod:`repro.cpu.wavefront`
+#: that alters simulation outcomes so stale entries never hit.
+SIMULATOR_VERSION = 1
+
 
 @dataclass
 class StallBreakdown:

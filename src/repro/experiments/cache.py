@@ -139,8 +139,8 @@ def simulation_key(
     warmup: int,
 ) -> str:
     """Content hash identifying one deterministic simulation."""
-    from repro.cpu.pipeline import SIMULATOR_VERSION
-    from repro.workloads.emulator import GENERATOR_VERSION
+    from repro.cpu.results import SIMULATOR_VERSION
+    from repro.workloads.parameters import GENERATOR_VERSION
 
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
@@ -1217,7 +1217,7 @@ def trace_store_key(workload_fingerprint: str) -> str:
 
     Composes the workload fingerprint (which already covers the
     generator version, parameters, seed, and length — see
-    :func:`repro.workloads.emulator.workload_fingerprint`) with the cache
+    :func:`repro.workloads.parameters.workload_fingerprint`) with the cache
     key schema and the columnar trace schema, so a change to either the
     on-disk layout or the key derivation retires every stored trace.
     """

@@ -63,7 +63,7 @@ from repro.thermal.transient import (
     TransientResult,
     step_matrix_key,
 )
-from repro.workloads.suite import benchmark_names, fingerprint, generate
+from repro.workloads.suite import benchmark_names, fingerprint
 
 #: The power/thermal reference application (the paper's peak-power app).
 REFERENCE_BENCHMARK = "mpeg2"
@@ -650,6 +650,8 @@ class ExperimentContext:
     def trace(self, benchmark: str) -> Trace:
         trace = self._traces.get(benchmark)
         if trace is None:
+            from repro.workloads.suite import generate
+
             start = time.perf_counter()
             trace = generate(benchmark, length=self.settings.trace_length)
             # ``generate``/``compile`` stage seconds count the emulator
@@ -852,6 +854,11 @@ class ExperimentContext:
             still: List[_Job] = []
             stolen: List[_Job] = []
             for job in waiting:
+                # Read the claim before the cache: a holder stores, then
+                # releases, so a release seen here means any result it
+                # stored is visible to the load below.
+                stale = cache.claim_stale(job.key, self.claim_stale_s)
+                released = not stale and cache.claim_holder(job.key) is None
                 result = cache.load(job.key, kind.result_type)
                 if result is not None:
                     self.stats.claim_dedup += 1
@@ -859,10 +866,10 @@ class ExperimentContext:
                     for index in job.targets:
                         out[index] = result
                     continue
-                if cache.claim_stale(job.key, self.claim_stale_s):
+                if stale:
                     cache.break_claim(job.key)
                     reason = "stale"
-                elif cache.claim_holder(job.key) is None:
+                elif released:
                     # Holder released without storing (full disk, crash
                     # between release and store).
                     reason = "released"

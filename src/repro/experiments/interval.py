@@ -41,9 +41,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.cpu.pipeline import TimingSimulator
-from repro.cpu.predecode import predecode
-from repro.cpu.wavefront import IntervalCapture, build_interval_series
 from repro.experiments.cache import interval_trace_key
 from repro.experiments.context import (
     CONFIG_STACKS,
@@ -118,6 +115,10 @@ def extract_interval_trace(
         if cached is not None:
             context.stats.interval_disk_hits += 1
             return cached
+
+    from repro.cpu.pipeline import TimingSimulator
+    from repro.cpu.predecode import predecode
+    from repro.cpu.wavefront import IntervalCapture, build_interval_series
 
     start = time.perf_counter()
     pre = predecode(context._compiled_for(benchmark))

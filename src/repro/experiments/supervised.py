@@ -35,7 +35,6 @@ import os
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cpu.pipeline import simulate
 from repro.isa.compiled import TraceReadError, read_compiled
 from repro.thermal.feedback import solve_with_leakage_feedback
 from repro.thermal.solver import FACTORIZATION_STATS, ThermalResult, ThermalSolver
@@ -44,7 +43,6 @@ from repro.thermal.transient import (
     PowerSchedule,
     TransientThermalSolver,
 )
-from repro.workloads.suite import generate
 
 #: ``REPRO_THERMAL_SUBPROC_CELLS`` values that disable supervision.
 DISABLED_VALUES = frozenset({"0", "off", "no", "false", "none"})
@@ -165,6 +163,8 @@ def simulate_runs(benchmark: str, trace_length: int, warmup: int,
     """
     if trace is None or isinstance(trace, str):
         trace = _load_trace(benchmark, trace_length, trace)
+    from repro.cpu.pipeline import simulate
+
     return [simulate(trace, config, warmup=warmup) for config in configs]
 
 
@@ -177,6 +177,8 @@ def _load_trace(benchmark: str, trace_length: int, trace_file: Optional[str]):
         else:
             if len(compiled) == trace_length and compiled.name == benchmark:
                 return compiled
+    from repro.workloads.suite import generate
+
     return generate(benchmark, length=trace_length)
 
 

@@ -32,14 +32,15 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix
-from scipy.sparse.linalg import factorized, splu
 
 from repro.floorplan.geometry import Floorplan
 from repro.thermal.stack import ThermalStack
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_matrix
 
 #: Bump when the discretization or boundary conditions change, or the
 #: transient integration (:mod:`repro.thermal.transient`) does; part of
@@ -93,16 +94,28 @@ def clear_factorization_cache() -> None:
     transient.clear_step_cache()
 
 
+def splu(matrix: csc_matrix, **kwargs):
+    """scipy's SuperLU factorization, imported on the first call.
+
+    scipy takes about a third of a second to import, and a run that
+    reads every thermal result from the cache never factorizes, so it
+    never pays for it.  Every factorization goes through this module
+    global, which makes it the one seam to observe them at.
+    """
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(matrix, **kwargs)
+
+
 def _factorize(matrix: csc_matrix) -> Callable:
-    """LU-factorize ``matrix``, preferring SuperLU's symmetric-pattern
-    ordering (the conductance matrix is symmetric positive definite, and
-    MMD_AT_PLUS_A fills in ~4x less than the default COLAMD here)."""
-    try:
-        lu = splu(matrix, permc_spec="MMD_AT_PLUS_A",
-                  options={"SymmetricMode": True})
-        return lu.solve
-    except (RuntimeError, ValueError, TypeError):
-        return factorized(matrix)
+    """LU-factorize ``matrix`` with SuperLU's symmetric-pattern ordering.
+
+    Both the conductance matrix and the transient step matrix are
+    symmetric positive definite, where MMD_AT_PLUS_A fills in ~4x less
+    than the default COLAMD.
+    """
+    return splu(matrix, permc_spec="MMD_AT_PLUS_A",
+                options={"SymmetricMode": True}).solve
 
 
 @dataclass
@@ -297,6 +310,8 @@ class ThermalSolver:
         x-left, x-right, y-down, vertical-to-below, then the spreader's
         convection term), so the two agree bit for bit.
         """
+        from scipy.sparse import coo_matrix
+
         nx, ny = self.nx, self.ny
         layers = self.stack.layers
         nl = len(layers)

@@ -14,48 +14,34 @@ partial-value locality, near branch targets — therefore emerge from actual
 emulated values rather than being injected as labels.
 """
 
-from repro.workloads.parameters import (
-    WorkloadParameters,
-    BenchmarkClass,
-    CLASS_PARAMETERS,
-)
-from repro.workloads.memory_model import MemoryModel, Region, AccessPattern
-from repro.workloads.program import SyntheticProgram, build_program
-from repro.workloads.emulator import Emulator, generate_trace
-from repro.workloads.validation import (
-    CLASS_EXPECTATIONS,
-    ClassExpectations,
-    validate_suite,
-    validate_trace,
-)
-from repro.workloads.suite import (
-    BENCHMARKS,
-    BenchmarkSpec,
-    benchmark_names,
-    benchmarks_in_class,
-    generate,
-    standard_suite,
-)
+import importlib
 
-__all__ = [
-    "WorkloadParameters",
-    "BenchmarkClass",
-    "CLASS_PARAMETERS",
-    "MemoryModel",
-    "Region",
-    "AccessPattern",
-    "SyntheticProgram",
-    "build_program",
-    "Emulator",
-    "generate_trace",
-    "BENCHMARKS",
-    "BenchmarkSpec",
-    "benchmark_names",
-    "benchmarks_in_class",
-    "generate",
-    "standard_suite",
-    "CLASS_EXPECTATIONS",
-    "ClassExpectations",
-    "validate_suite",
-    "validate_trace",
-]
+#: Re-exported name -> defining module, loaded on first access (PEP 562):
+#: reading the suite's names and fingerprints must not load the emulator.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("WorkloadParameters", "BenchmarkClass", "CLASS_PARAMETERS"),
+        "repro.workloads.parameters"),
+    **dict.fromkeys(
+        ("MemoryModel", "Region", "AccessPattern"),
+        "repro.workloads.memory_model"),
+    **dict.fromkeys(
+        ("SyntheticProgram", "build_program"), "repro.workloads.program"),
+    **dict.fromkeys(("Emulator", "generate_trace"), "repro.workloads.emulator"),
+    **dict.fromkeys(
+        ("BENCHMARKS", "BenchmarkSpec", "benchmark_names",
+         "benchmarks_in_class", "generate", "standard_suite"),
+        "repro.workloads.suite"),
+    **dict.fromkeys(
+        ("CLASS_EXPECTATIONS", "ClassExpectations", "validate_suite",
+         "validate_trace"),
+        "repro.workloads.validation"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_EXPORTS[name]), name)

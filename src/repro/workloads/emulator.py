@@ -19,9 +19,6 @@ enum dispatch.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -38,7 +35,10 @@ from repro.workloads.memory_model import (
     STACK_SIZE,
     WORD_BYTES,
 )
-from repro.workloads.parameters import WorkloadParameters
+from repro.workloads.parameters import (  # noqa: F401  (GENERATOR_VERSION re-exported)
+    GENERATOR_VERSION,
+    WorkloadParameters,
+)
 from repro.workloads.program import (
     InstTemplate,
     Loop,
@@ -47,9 +47,9 @@ from repro.workloads.program import (
     build_program,
 )
 
-#: Trace-generator version, part of the on-disk result-cache key.  Bump on
-#: any change that alters generated traces so stale entries never hit.
-GENERATOR_VERSION = 1
+# GENERATOR_VERSION is defined beside the parameters, so trace and
+# result cache keys can read it without loading this emulator.  Bump it
+# on any change here that alters generated traces.
 
 _MASK64 = (1 << 64) - 1
 _WORD_ALIGN = ~(WORD_BYTES - 1)
@@ -434,33 +434,6 @@ class Emulator:
         while self._flow_rng.random() > p and count < 10_000:
             count += 1
         return count
-
-
-def workload_fingerprint(
-    name: str,
-    params: WorkloadParameters,
-    length: int,
-    seed: int,
-    benchmark_class: str = "unknown",
-) -> str:
-    """Content hash identifying the trace :func:`generate_trace` would emit.
-
-    Covers everything generation depends on — the parameters, the seed,
-    the requested length, and :data:`GENERATOR_VERSION` — so it can key a
-    persistent store of generated (compiled) traces: equal fingerprints
-    guarantee byte-identical traces, and any generator change invalidates
-    every stored entry via the version bump.
-    """
-    payload = {
-        "generator": GENERATOR_VERSION,
-        "name": name,
-        "benchmark_class": benchmark_class,
-        "length": length,
-        "seed": seed,
-        "params": dataclasses.asdict(params),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def generate_trace(

@@ -21,8 +21,15 @@ trace statistics match the qualitative behaviour the paper reports:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import hashlib
+import json
+from dataclasses import asdict, dataclass, field
 from typing import Dict
+
+#: Trace-generator version (:mod:`repro.workloads.emulator`), part of the
+#: on-disk result-cache key.  Bump on any change that alters generated
+#: traces so stale entries never hit.
+GENERATOR_VERSION = 1
 
 
 class BenchmarkClass(enum.Enum):
@@ -275,3 +282,31 @@ CLASS_PARAMETERS: Dict[BenchmarkClass, WorkloadParameters] = {
         },
     ),
 }
+
+
+def workload_fingerprint(
+    name: str,
+    params: WorkloadParameters,
+    length: int,
+    seed: int,
+    benchmark_class: str = "unknown",
+) -> str:
+    """Content hash identifying the trace
+    :func:`~repro.workloads.emulator.generate_trace` would emit.
+
+    Covers everything generation depends on — the parameters, the seed,
+    the requested length, and :data:`GENERATOR_VERSION` — so it can key a
+    persistent store of generated (compiled) traces: equal fingerprints
+    guarantee byte-identical traces, and any generator change invalidates
+    every stored entry via the version bump.
+    """
+    payload = {
+        "generator": GENERATOR_VERSION,
+        "name": name,
+        "benchmark_class": benchmark_class,
+        "length": length,
+        "seed": seed,
+        "params": asdict(params),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

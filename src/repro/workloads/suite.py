@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.isa.trace import Trace
-from repro.workloads.emulator import generate_trace, workload_fingerprint
 from repro.workloads.parameters import (
     BenchmarkClass,
     CLASS_PARAMETERS,
     WorkloadParameters,
+    workload_fingerprint,
 )
 
 
@@ -153,6 +153,8 @@ def generate(name: str, length: int = 20_000, seed: Optional[int] = None) -> Tra
     spec = BENCHMARKS.get(name)
     if spec is None:
         raise KeyError(f"unknown benchmark {name!r}; known: {', '.join(BENCHMARKS)}")
+    from repro.workloads.emulator import generate_trace
+
     return generate_trace(
         name=name,
         params=spec.parameters(),

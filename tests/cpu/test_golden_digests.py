@@ -136,11 +136,11 @@ def fixed_cases() -> Dict[str, dict]:
 
 def report_cases() -> Dict[str, dict]:
     """Every distinct ``simulate()`` input of a cold ``report --fast``."""
-    import repro.experiments.supervised as supervised
+    import repro.cpu.pipeline as pipeline
     from repro.cli import main
 
     cases: Dict[str, dict] = {}
-    inner = supervised.simulate
+    inner = pipeline.simulate
 
     def recording(trace, config, warmup=0):
         name = f"report/{trace.name}/{config.name}@{config.clock_ghz}GHz"
@@ -148,7 +148,7 @@ def report_cases() -> Dict[str, dict]:
         assert cases.setdefault(name, case) == case, f"{name} is ambiguous"
         return inner(trace, config, warmup=warmup)
 
-    supervised.simulate = recording
+    pipeline.simulate = recording
     saved = os.environ.get("REPRO_CACHE")
     os.environ["REPRO_CACHE"] = "0"
     try:
@@ -156,7 +156,7 @@ def report_cases() -> Dict[str, dict]:
             main(["report", "--fast", "--jobs", "1",
                   "-o", os.path.join(scratch, "report.md")])
     finally:
-        supervised.simulate = inner
+        pipeline.simulate = inner
         if saved is None:
             del os.environ["REPRO_CACHE"]
         else:

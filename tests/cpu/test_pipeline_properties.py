@@ -1,5 +1,6 @@
 """Property-based tests: the timing model on arbitrary valid traces."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -93,6 +94,27 @@ def test_simulation_invariants(label, trace):
         if metric.startswith("herded::") or metric.endswith("_herded") \
                 or metric.endswith("herded_loads"):
             assert 0.0 <= value <= 1.0, metric
+
+
+@pytest.mark.parametrize("label", list(CONFIGS))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(trace=mini_traces())
+def test_commit_cycles(label, trace):
+    """Commit is in order and at most ``commit_width`` wide: a one-
+    instruction capture snapshots the commit cycle after every
+    instruction."""
+    config = CONFIGS[label]
+    capture = IntervalCapture(1)
+    result = TimingSimulator(config).run_compiled(
+        predecode(trace.compiled()), warmup=0, capture=capture)
+    deltas = capture.cycle_deltas()
+    assert len(deltas) == len(trace)
+    assert (deltas >= 0).all()
+    commit_cycles = capture.cycle_base + np.cumsum(deltas)
+    _, per_cycle = np.unique(commit_cycles, return_counts=True)
+    assert per_cycle.max() <= config.commit_width
+    assert int(deltas.sum()) == result.cycles
 
 
 @settings(max_examples=60, deadline=None,

@@ -303,3 +303,31 @@ class TestWorkStealing:
         assert context.stats.claim_steals == 0
         for pair in PAIRS[:2]:
             assert _fields(results[pair]) == _fields(produced[pair]), pair
+
+    def test_result_stored_just_before_release_is_adopted(self, tmp_path):
+        """The holder stores and releases between two reads of the waiter:
+        the waiter adopts the result instead of recomputing it."""
+        pair = PAIRS[0]
+        produced = ExperimentContext(TINY, jobs=1, cache=None).run(*pair)
+        shared = ResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
+        context = ExperimentContext(TINY, jobs=1, cache=cache)
+        context.claim_poll_s = 0.01
+        key = context._cache_key(pair[0], context._config_for(pair[1]))
+        assert shared.try_claim(key)
+        holder = cache.claim_holder
+        polls = []
+
+        def holder_finishes_during_poll(claimed_key):
+            polls.append(claimed_key)
+            if len(polls) == 2:  # the first poll saw the claim held
+                shared.store(key, produced)
+                shared.release_claim(key)
+            return holder(claimed_key)
+
+        cache.claim_holder = holder_finishes_during_poll
+        result = context.run(*pair)
+        assert context.stats.simulated == 0
+        assert context.stats.claim_dedup == 1
+        assert context.stats.claim_steals == 0
+        assert _fields(result) == _fields(produced)

@@ -121,3 +121,52 @@ class TestInterface:
         name, die, temp = result.hottest_block()
         assert temp == pytest.approx(result.peak_temperature, abs=1.0)
         assert "peak K" in result.format_hotspots()
+
+
+class TestFactorizationSeam:
+    """Every LU factorization, steady or transient step, goes through the
+    module global ``repro.thermal.solver.splu``; ``perfbench --trace 1``
+    counts factorizations by wrapping that one name."""
+
+    def test_sees_every_steady_and_step_factorization(self, monkeypatch):
+        from repro.thermal import solver as solver_module
+        from repro.thermal.solver import (
+            FACTORIZATION_STATS,
+            clear_factorization_cache,
+        )
+        from repro.thermal.transient import (
+            STEP_FACTORIZATION_STATS,
+            TransientThermalSolver,
+        )
+
+        seen = []
+        inner = solver_module.splu
+
+        def recording(matrix, **kwargs):
+            seen.append((matrix.shape[0], kwargs["permc_spec"]))
+            return inner(matrix, **kwargs)
+
+        monkeypatch.setattr(solver_module, "splu", recording)
+        clear_factorization_cache()
+        try:
+            planar = ThermalSolver(planar_stack(0.25), planar_floorplan(),
+                                   nx=16, ny=16)
+            stacked = ThermalSolver(stacked_3d_stack(0.25),
+                                    stacked_floorplan(), nx=16, ny=16)
+            # Same geometry: served from the factorization cache.
+            ThermalSolver(planar_stack(0.25), planar_floorplan(), nx=16, ny=16)
+            for solver in (planar, stacked):
+                solver.solve(uniform_grids(solver, 50.0, len(solver._die_layers())))
+            steady = [(planar.unknowns, "MMD_AT_PLUS_A"),
+                      (stacked.unknowns, "MMD_AT_PLUS_A")]
+            assert seen == steady
+            assert FACTORIZATION_STATS.factorizations == 2
+
+            for dt_s in (1e-3, 5e-3, 1e-3):
+                TransientThermalSolver(planar, dt_s=dt_s)
+            TransientThermalSolver(stacked, dt_s=1e-3)
+            assert STEP_FACTORIZATION_STATS.factorizations == 3
+            assert seen == steady + [(planar.unknowns, "MMD_AT_PLUS_A")] * 2 \
+                + [(stacked.unknowns, "MMD_AT_PLUS_A")]
+        finally:
+            clear_factorization_cache()
